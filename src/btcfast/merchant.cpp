@@ -238,6 +238,7 @@ void MerchantService::restore_pending(const FastPayPackage& pkg, const Invoice& 
   // contract, not in this flag; leaving it false just means poll() won't
   // try to release a reservation this process can't prove it made.
   pending_.push_back(std::move(p));
+  btc_node_.receive_tx(pending_.back().package.payment_tx);
   if (invoice.invoice_id >= next_invoice_id_) next_invoice_id_ = invoice.invoice_id + 1;
 }
 

@@ -110,11 +110,14 @@ class MerchantService {
   [[nodiscard]] std::vector<psc::PscTx> poll(std::uint64_t now_ms);
 
   /// Reinstall an accepted payment recovered from the durable store
-  /// after a crash: book-only — no BTC rebroadcast (the tx was already
-  /// on the network pre-crash) and no fresh reservePayment; poll()'s
-  /// settle/dispute machinery picks the payment up from here. Also bumps
-  /// the invoice-id counter past the restored invoice so new invoices
-  /// never collide with recovered ones.
+  /// after a crash, with no fresh reservePayment; poll()'s settle/dispute
+  /// machinery picks the payment up from here. The BTC payment is
+  /// rebroadcast through our node: the crash may have come before it was
+  /// ever broadcast, and an unbroadcast honest payment would never
+  /// confirm and would be disputed. The node drops a tx it has already
+  /// seen, and the mempool refuses one already confirmed or conflicted.
+  /// Also bumps the invoice-id counter past the restored invoice so new
+  /// invoices never collide with recovered ones.
   void restore_pending(const FastPayPackage& pkg, const Invoice& invoice,
                        std::uint64_t accepted_at_ms);
 

@@ -82,25 +82,24 @@ void Gateway::sync_store_stats() {
 }
 
 bool Gateway::restore_from(const store::StateImage& image) {
+  // Every reservation is an acked payment: its hold, its merchant book
+  // entry and its settle-release mapping come back together.
   bool ok = true;
   for (const auto& r : image.reservations) {
     Shard& sh = shard_for(r.escrow_id);
     if (!sh.ledger.restore_reservation(r.id, r.escrow_id, r.amount, r.expires_at_ms)) ok = false;
-    std::lock_guard lock(tracked_mu_);
-    tracked_.insert(r.escrow_id);
-  }
-  for (const auto& a : image.accepted) {
-    const auto pkg = core::FastPayPackage::deserialize(a.package);
-    const auto inv = core::Invoice::deserialize(a.invoice);
+    {
+      std::lock_guard lock(tracked_mu_);
+      tracked_.insert(r.escrow_id);
+    }
+    const auto pkg = core::FastPayPackage::deserialize(r.package);
+    const auto inv = core::Invoice::deserialize(r.invoice);
     if (!pkg || !inv) {
       ok = false;
       continue;
     }
-    merchant_.restore_pending(*pkg, *inv, a.accepted_at_ms);
-    const EscrowId eid = pkg->binding.binding.escrow_id;
-    shard_for(eid).live_reservations.emplace(a.reservation_id, pkg->binding.binding.btc_txid);
-    std::lock_guard lock(tracked_mu_);
-    tracked_.insert(eid);
+    merchant_.restore_pending(*pkg, *inv, r.accepted_at_ms);
+    sh.live_reservations.emplace(r.id, pkg->binding.binding.btc_txid);
   }
   // Restored ledger entries carry a placeholder view until refreshed;
   // pull authoritative contract state now so try_reserve sees reality.
@@ -135,9 +134,9 @@ std::optional<EscrowView> Gateway::escrow_for(EscrowId id) {
   Shard& sh = shard_for(id);
   if (const auto snap = sh.ledger.snapshot(id)) return snap->view;
   if (!config_.lazy_escrow_fetch) return std::nullopt;
-  // The chain view call is not reentrant, so lazy fetches serialize on a
-  // gateway-wide lock; re-check the ledger first so only the one thread
-  // that actually fetched pays the contract call.
+  // Lazy fetches serialize on a gateway-wide lock; re-check the ledger
+  // first so only the one thread that actually fetched pays the
+  // contract call.
   std::lock_guard fetch_lock(lazy_fetch_mu_);
   if (const auto snap = sh.ledger.snapshot(id)) return snap->view;
   const auto view = merchant_.escrow_view(id);
@@ -333,9 +332,27 @@ Bytes Gateway::handle_submit(const Frame& frame, std::uint64_t now_ms) {
     return finish(false, deny, std::string("reservation denied: ") + core::describe(deny), 0);
   }
 
-  // Stage: durability. The reservation hits the WAL before the accept
-  // response exists — a crash after this point recovers with the
-  // collateral still held, so the acked binding stays covered.
+  // The merchant's book is bounded by claiming a slot on the
+  // queued-accepts counter — racing accepts across shards cannot
+  // overshoot max_pending_payments, and no cross-shard lock is taken.
+  // The claim comes before the WAL write because a logged reserve is a
+  // booked payment after any restore: a refusal must leave no record.
+  const std::size_t limit = merchant_.config().max_pending_payments;
+  const std::size_t claimed = queued_accepts_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  auto unclaim = [&] {
+    queued_accepts_.fetch_sub(1, std::memory_order_acq_rel);
+    (void)sh.ledger.release(*rid);
+  };
+  if (limit > 0 && merchant_.active_pending_count() + claimed > limit) {
+    unclaim();
+    return finish(false, RejectReason::kPendingLimit, "merchant pending-payment limit reached",
+                  0);
+  }
+
+  // Stage: durability. The accept record — hold, package and invoice —
+  // hits the WAL before the accept response exists: a crash after this
+  // point recovers both the collateral hold and the merchant's book
+  // entry, so the acked payment stays watched and disputable.
   if (store_ != nullptr) {
     store::StoreRecord rec;
     rec.kind = store::RecordKind::kReserve;
@@ -344,9 +361,12 @@ Bytes Gateway::handle_submit(const Frame& frame, std::uint64_t now_ms) {
     rec.amount = b.compensation;
     rec.expires_at_ms = b.expiry_ms;
     rec.txid = b.btc_txid.bytes;
+    rec.accepted_at_ms = now_ms;
+    rec.package = req->package.serialize();
+    rec.invoice = invoice->serialize();
     const auto seq = store_->append(rec);
     if (!seq || !store_->commit()) {
-      (void)sh.ledger.release(*rid);
+      unclaim();
       return finish(false, RejectReason::kOverloaded, "durable store commit failed", 0);
     }
     // Replication gate: the accept response must not exist until a
@@ -354,7 +374,7 @@ Bytes Gateway::handle_submit(const Frame& frame, std::uint64_t now_ms) {
     // local log stays consistent — the reserve is followed by a
     // rejected-release, and both ship once followers return.
     if (gate_ != nullptr && !gate_->quorum_commit(*seq, now_ms)) {
-      (void)sh.ledger.release(*rid);
+      unclaim();
       store::StoreRecord rel;
       rel.kind = store::RecordKind::kRelease;
       rel.reservation_id = *rid;
@@ -367,26 +387,7 @@ Bytes Gateway::handle_submit(const Frame& frame, std::uint64_t now_ms) {
     mark(Stage::kWal);
   }
 
-  // Stage: commit handoff. The merchant's book is bounded by claiming a
-  // slot on the queued-accepts counter before the queue push — racing
-  // accepts across shards cannot overshoot max_pending_payments, and no
-  // cross-shard lock is taken.
-  const std::size_t limit = merchant_.config().max_pending_payments;
-  const std::size_t claimed = queued_accepts_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (limit > 0 && merchant_.active_pending_count() + claimed > limit) {
-    queued_accepts_.fetch_sub(1, std::memory_order_acq_rel);
-    (void)sh.ledger.release(*rid);
-    if (store_ != nullptr) {
-      store::StoreRecord rec;
-      rec.kind = store::RecordKind::kRelease;
-      rec.reservation_id = *rid;
-      rec.cause = store::ReleaseCause::kRejected;
-      (void)store_->append(rec);
-      (void)store_->commit();
-    }
-    return finish(false, RejectReason::kPendingLimit, "merchant pending-payment limit reached",
-                  0);
-  }
+  // Stage: commit handoff to the shard's queue, drained by the flush.
   {
     Accepted a;
     a.package = std::move(req->package);
@@ -489,9 +490,11 @@ std::vector<Bytes> Gateway::serve_batch(const std::vector<Bytes>& frames, std::u
   return out;
 }
 
-std::vector<psc::PscTx> Gateway::flush_accepted(std::uint64_t now_ms) {
+std::vector<psc::PscTx> Gateway::flush_accepted(std::uint64_t /*now_ms*/) {
   // Seal the epoch: swap out every shard's queue. Items accepted after
-  // this point land in the next epoch.
+  // this point land in the next epoch. Every sealed accept is already in
+  // the WAL (and quorum-held, with a gate attached) since before its
+  // response left serve(), so the flush writes nothing durable.
   std::vector<std::vector<Accepted>> epoch(shards_.size());
   std::size_t total = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -500,54 +503,6 @@ std::vector<psc::PscTx> Gateway::flush_accepted(std::uint64_t now_ms) {
     total += epoch[i].size();
   }
   if (total > 0) queued_accepts_.fetch_sub(total, std::memory_order_acq_rel);
-
-  // The epoch drains through the WAL first: the accepted bindings are
-  // group-committed before any merchant bookkeeping or BTC broadcast, so
-  // a crash mid-flush recovers with every binding it committed to — and
-  // none it didn't. Record encoding (package/invoice serialization) is
-  // the expensive part, so it fans across the pool; the appends and the
-  // single fsync stay sequential, preserving the byte layout a
-  // single-threaded flush would write.
-  if (store_ != nullptr && total > 0) {
-    std::vector<store::StoreRecord> records(total);
-    std::vector<const Accepted*> flat;
-    flat.reserve(total);
-    for (const auto& q : epoch) {
-      for (const auto& a : q) flat.push_back(&a);
-    }
-    pool_.parallel_for(flat.size(), [&](std::size_t i) {
-      const Accepted& a = *flat[i];
-      store::StoreRecord& rec = records[i];
-      rec.kind = store::RecordKind::kAcceptCommit;
-      rec.reservation_id = a.reservation_id;
-      rec.accepted_at_ms = a.now_ms;
-      rec.package = a.package.serialize();
-      rec.invoice = a.invoice.serialize();
-    });
-    for (auto& rec : records) (void)store_->append(rec);
-    (void)store_->commit();
-    // Replication gate on the epoch: merchant bookkeeping and the BTC
-    // broadcast stay held back until a quorum of followers durably hold
-    // every accept record. On failure the sealed epoch is re-queued
-    // intact (front of each shard's queue, original order) and retried
-    // by the next flush — the local WAL already has the records, so the
-    // re-flush appends nothing new.
-    if (gate_ != nullptr && !gate_->quorum_commit(store_->last_committed_seq(), now_ms)) {
-      std::size_t requeued = 0;
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
-        if (epoch[i].empty()) continue;
-        requeued += epoch[i].size();
-        std::lock_guard lock(shards_[i]->commit_mu);
-        shards_[i]->commit_queue.insert(shards_[i]->commit_queue.begin(),
-                                        std::make_move_iterator(epoch[i].begin()),
-                                        std::make_move_iterator(epoch[i].end()));
-      }
-      queued_accepts_.fetch_add(requeued, std::memory_order_acq_rel);
-      sync_store_stats();
-      return {};
-    }
-    sync_store_stats();
-  }
 
   // Apply merchant bookkeeping deterministically: shard order, then
   // queue order. The merchant book and BTC broadcast are not

@@ -16,6 +16,8 @@
 //     -> reserve (ReservationLedger::try_reserve on the shard's ledger —
 //        the per-escrow serialization point; two racing fast-pays cannot
 //        overcommit one escrow)
+//     -> durability (one WAL record carrying the hold, package and
+//        invoice; with a replication gate, held until quorum)
 //     -> respond (+ queue the accept on the shard for epoch flush)
 //
 // Reservation ids draw from one gateway-wide counter and embed the
@@ -29,7 +31,7 @@
 // gateway-wide fetch lock). Mutation (merchant bookkeeping, BTC
 // broadcast, PSC txs) is deferred: accepted packages land in per-shard
 // commit queues that the control thread drains with flush_accepted() —
-// one sealed epoch, one group-commit fsync, then deterministic apply.
+// one sealed epoch applied in memory, in deterministic order.
 // reconcile() (also control-thread) refreshes escrow views from the
 // contract each PSC block, releases reservations for settled/judged
 // payments, and expires stale ones.
@@ -105,24 +107,23 @@ class Gateway {
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  /// Attach a durable store: from here on every granted reservation is
-  /// WAL-committed before its accept response leaves serve(), and
-  /// flush_accepted() drains the commit queues through the WAL before
-  /// running merchant bookkeeping. Pass nullptr to detach. The store
+  /// Attach a durable store: from here on every accept is WAL-committed
+  /// — hold, package and invoice in one kReserve record — before its
+  /// accept response leaves serve(). Pass nullptr to detach. The store
   /// outlives the gateway's use of it (not owned).
   void attach_store(store::DurableStore* store);
 
   /// Attach a replication commit gate (store::CommitGate, implemented by
   /// replication::ReplicationGroup): after the local WAL commit, a
   /// reservation is acked only once the gate confirms a quorum of
-  /// followers durably hold it, and flush_accepted() epochs are held
-  /// back (re-queued) until their records reach quorum. Pass nullptr to
-  /// detach. No-op without an attached store.
+  /// followers durably hold it; otherwise the hold is released (logged
+  /// as a rejected release) and the request answered kOverloaded. Pass
+  /// nullptr to detach. No-op without an attached store.
   void attach_commit_gate(store::CommitGate* gate) noexcept { gate_ = gate; }
 
   /// Rebuild gateway state from a recovered image (fresh gateway,
-  /// control thread): reservations back into the owning shard's ledger,
-  /// accepted bindings back into the merchant book and the
+  /// control thread): each reservation's hold back into the owning
+  /// shard's ledger, its payment back into the merchant book and the
   /// settle-release map. Reservation ids are geometry-independent, so
   /// the shard/stripe counts need not match the writer's. Returns false
   /// if any entry fails to decode or re-install — recovery then must not
@@ -151,16 +152,12 @@ class Gateway {
                                                std::uint64_t now_ms);
 
   /// Drain every shard's commit queue as one epoch (control thread
-  /// only): seal the queues, encode the accept records in parallel on
-  /// the pool, group-commit them through the WAL with a single fsync,
-  /// then apply merchant bookkeeping + BTC broadcast deterministically
-  /// (shard order, then queue order). Returns the PSC transactions the
-  /// caller must submit (reserved mode).
-  /// With a commit gate attached, the epoch's records must additionally
-  /// reach replication quorum before any merchant bookkeeping runs — a
-  /// quorum failure re-queues the sealed epoch intact for the next
-  /// flush. `now_ms` feeds the gate's retry clock (0 reuses the latest
-  /// time the gate has seen).
+  /// only): seal the queues, then apply merchant bookkeeping + BTC
+  /// broadcast deterministically (shard order, then queue order).
+  /// Returns the PSC transactions the caller must submit (reserved
+  /// mode). Writes nothing durable and waits on no quorum: every queued
+  /// accept was logged (and quorum-held) before its response, so
+  /// `now_ms` is unused.
   [[nodiscard]] std::vector<psc::PscTx> flush_accepted(std::uint64_t now_ms = 0);
 
   /// Control-thread sync point, run on each new PSC block: refresh every
@@ -285,9 +282,9 @@ class Gateway {
   mutable std::shared_mutex invoices_mu_;
   std::unordered_map<std::uint64_t, core::Invoice> invoices_;
 
-  /// Serializes lazy escrow fetches: PscChain::view_call is not safe
-  /// against concurrent callers, so the first request for an unknown
-  /// escrow takes this lock, re-checks the ledger, then fetches.
+  /// Serializes lazy escrow fetches so only one thread pays the contract
+  /// call: the first request for an unknown escrow takes this lock,
+  /// re-checks the ledger, then fetches.
   std::mutex lazy_fetch_mu_;
 
   /// Escrows to refresh on reconcile. Guarded because lazy fetch inserts

@@ -37,11 +37,23 @@ Receipt PscChain::execute_now(const PscTx& tx, std::uint64_t time_ms) {
 }
 
 Receipt PscChain::view_call(const PscTx& tx) const {
-  WorldState scratch = state_;  // copy; views never commit
-  // const_cast-free: execute against the scratch with a non-recording
-  // logger via a local copy of *this's contract table (shared_ptr'd).
+  // Run against the live state inside an outer revert point and undo
+  // everything after — value, storage, fee and nonce — so a view costs
+  // the entries it touches, not a copy of the world. The guard reverts
+  // every revert point opened since entry, so an exception out of a
+  // contract cannot leave the view's writes in place.
+  struct RevertGuard {
+    WorldState& state;
+    std::size_t depth;
+    ~RevertGuard() {
+      while (state.journal_depth() > depth) state.journal_revert();
+    }
+  };
+  std::lock_guard lock(view_lock_.mu);
   PscChain* self = const_cast<PscChain*>(this);
-  return self->execute_tx(tx, /*tx_id=*/~0ULL, scratch, nullptr);
+  const RevertGuard guard{self->state_, self->state_.journal_depth()};
+  self->state_.journal_begin();
+  return self->execute_tx(tx, /*tx_id=*/~0ULL, self->state_, nullptr);
 }
 
 Receipt PscChain::execute_tx(const PscTx& tx, std::uint64_t tx_id, WorldState& state,

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -72,9 +73,11 @@ class PscChain {
   /// Convenience for tests: submit + produce a block immediately.
   Receipt execute_now(const PscTx& tx, std::uint64_t time_ms);
 
-  /// Read-only call against a scratch copy of the state (free, like
-  /// eth_call). Returns the receipt (gas_used reflects what it *would*
-  /// cost); world state is untouched.
+  /// Read-only call (free, like eth_call). Returns the receipt (gas_used
+  /// reflects what it *would* cost); world state is left exactly as it
+  /// was. It runs on the live state and reverts it: concurrent view_calls
+  /// serialize on an internal lock, but no other access to the state
+  /// (state(), produce_block, execute_now, mint) may run concurrently with one.
   [[nodiscard]] Receipt view_call(const PscTx& tx) const;
 
   [[nodiscard]] const Receipt& receipt(std::uint64_t tx_id) const { return receipts_.at(tx_id); }
@@ -110,6 +113,15 @@ class PscChain {
 
   Config config_;
   WorldState state_;
+  /// Serializes view_call's in-place run. A copied chain gets a lock of
+  /// its own, so the chain stays copyable.
+  struct ViewLock {
+    ViewLock() = default;
+    ViewLock(const ViewLock&) noexcept {}
+    ViewLock& operator=(const ViewLock&) noexcept { return *this; }
+    std::mutex mu;
+  };
+  mutable ViewLock view_lock_;
   std::unordered_map<Address, std::shared_ptr<Contract>, AddressHasher> contracts_;
   std::vector<std::pair<std::uint64_t, PscTx>> pending_;
   std::vector<Receipt> receipts_;

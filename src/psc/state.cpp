@@ -21,7 +21,7 @@ bool WorldState::sub_balance(const Address& a, Value v) {
 }
 
 void WorldState::note_account(const Address& a) {
-  if (!journaling_) return;
+  if (marks_.empty()) return;
   Undo u;
   u.kind = Undo::Kind::kAccount;
   u.addr = a;
@@ -32,7 +32,7 @@ void WorldState::note_account(const Address& a) {
 }
 
 void WorldState::note_slot(const Address& contract, const Slot& key) {
-  if (!journaling_) return;
+  if (marks_.empty()) return;
   Undo u;
   u.kind = Undo::Kind::kSlot;
   u.addr = contract;
@@ -50,37 +50,43 @@ void WorldState::note_slot(const Address& contract, const Slot& key) {
 }
 
 void WorldState::journal_begin() {
-  journal_.clear();
-  journaling_ = true;
+  if (marks_.empty()) journal_.clear();
+  marks_.push_back(journal_.size());
 }
 
 void WorldState::journal_commit() noexcept {
-  journaling_ = false;
-  journal_.clear();
+  marks_.pop_back();
+  if (marks_.empty()) journal_.clear();
 }
 
 void WorldState::journal_revert() {
-  journaling_ = false;
+  const std::size_t mark = marks_.back();
+  marks_.pop_back();
   // Reverse order: when a transaction touched the same entry repeatedly,
   // the oldest record is applied last and wins, restoring the pre-image
   // from journal_begin().
-  for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
-    if (it->kind == Undo::Kind::kAccount) {
-      if (it->existed) {
-        accounts_[it->addr] = it->account;
+  for (std::size_t i = journal_.size(); i-- > mark;) {
+    const Undo& u = journal_[i];
+    if (u.kind == Undo::Kind::kAccount) {
+      if (u.existed) {
+        accounts_[u.addr] = u.account;
       } else {
-        accounts_.erase(it->addr);
+        accounts_.erase(u.addr);
       }
+    } else if (u.existed) {
+      storage_[u.addr][u.key] = u.value;
     } else {
-      Storage& store = storage_[it->addr];
-      if (it->existed) {
-        store[it->key] = it->value;
-      } else {
-        store.erase(it->key);
-      }
+      erase_slot(u.addr, u.key);
     }
   }
-  journal_.clear();
+  journal_.resize(mark);
+}
+
+void WorldState::erase_slot(const Address& contract, const Slot& key) {
+  const auto cit = storage_.find(contract);
+  if (cit == storage_.end()) return;
+  cit->second.erase(key);
+  if (cit->second.empty()) storage_.erase(cit);
 }
 
 Value WorldState::total_balance() const noexcept {
@@ -98,15 +104,13 @@ Slot WorldState::storage_load(const Address& contract, const Slot& key) const {
 
 bool WorldState::storage_store(const Address& contract, const Slot& key, const Slot& value) {
   note_slot(contract, key);
-  Storage& store = storage_[contract];
-  auto it = store.find(key);
-  const bool was_zero = (it == store.end()) || it->second.is_zero();
+  // Only nonzero slots are stored, and a contract with none has no map,
+  // so equal storage contents are equal maps.
   if (value.is_zero()) {
-    if (it != store.end()) store.erase(it);
-  } else {
-    store[key] = value;
+    erase_slot(contract, key);
+    return false;
   }
-  return was_zero && !value.is_zero();
+  return storage_[contract].insert_or_assign(key, value).second;
 }
 
 }  // namespace btcfast::psc

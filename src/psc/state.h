@@ -18,6 +18,8 @@ using Value = std::uint64_t;
 struct AccountState {
   Value balance = 0;
   std::uint64_t nonce = 0;
+
+  [[nodiscard]] bool operator==(const AccountState& o) const = default;
 };
 
 /// 32-byte storage slot key/value.
@@ -48,14 +50,19 @@ class WorldState {
   // whole world (which scales with total accounts × storage — ruinous
   // under a mass-dispute storm), record the pre-image of every account
   // and slot the transaction touches and undo them in reverse order.
-  /// Start recording pre-images. Discards any stale journal.
+  // Journals nest: a view call opens one around a whole transaction,
+  // whose own revert point sits inside it.
+  /// Open a revert point. The outermost one discards any stale journal.
   void journal_begin();
-  /// Stop recording and keep all changes.
+  /// Close the innermost revert point and keep its changes (an enclosing
+  /// revert point can still undo them).
   void journal_commit() noexcept;
-  /// Stop recording and roll every journaled mutation back, restoring the
-  /// exact map contents from journal_begin() — entries created since then
-  /// are erased, not zeroed.
+  /// Close the innermost revert point and roll back every mutation since
+  /// its journal_begin(), restoring the exact map contents — entries
+  /// created since then are erased, not zeroed.
   void journal_revert();
+  /// Number of open revert points.
+  [[nodiscard]] std::size_t journal_depth() const noexcept { return marks_.size(); }
 
   // --- contract storage ---
   [[nodiscard]] Slot storage_load(const Address& contract, const Slot& key) const;
@@ -69,6 +76,11 @@ class WorldState {
   /// sink and transfers move between accounts, so the sum must equal the
   /// total ever minted at all times (testkit invariant #1).
   [[nodiscard]] Value total_balance() const noexcept;
+
+  /// Same accounts and same nonzero slots (the journal is not state).
+  [[nodiscard]] bool operator==(const WorldState& o) const {
+    return accounts_ == o.accounts_ && storage_ == o.storage_;
+  }
 
  private:
   struct SlotKeyHasher {
@@ -90,11 +102,12 @@ class WorldState {
 
   void note_account(const Address& a);
   void note_slot(const Address& contract, const Slot& key);
+  void erase_slot(const Address& contract, const Slot& key);
 
   std::unordered_map<Address, AccountState, AddressHasher> accounts_;
   std::unordered_map<Address, Storage, AddressHasher> storage_;
   std::vector<Undo> journal_;
-  bool journaling_ = false;
+  std::vector<std::size_t> marks_;  ///< journal_ size at each open revert point
 };
 
 }  // namespace btcfast::psc

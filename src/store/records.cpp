@@ -19,16 +19,13 @@ Bytes StoreRecord::serialize() const {
       w.u64le(amount);
       w.u64le(expires_at_ms);
       w.bytes({txid.data(), txid.size()});
+      w.u64le(accepted_at_ms);
+      w.bytes_with_len(package);
+      w.bytes_with_len(invoice);
       break;
     case RecordKind::kRelease:
       w.u64le(reservation_id);
       w.u8(static_cast<std::uint8_t>(cause));
-      break;
-    case RecordKind::kAcceptCommit:
-      w.u64le(reservation_id);
-      w.u64le(accepted_at_ms);
-      w.bytes_with_len(package);
-      w.bytes_with_len(invoice);
       break;
     case RecordKind::kDisputeOpen:
       w.u64le(escrow_id);
@@ -69,10 +66,17 @@ std::optional<StoreRecord> StoreRecord::deserialize(ByteSpan data) {
       const auto amount = r.u64le();
       const auto expires = r.u64le();
       if (!rid || !eid || !amount || !expires || !read_txid()) return std::nullopt;
+      const auto at = r.u64le();
+      auto package = r.bytes_with_len(kMaxBlob);
+      auto invoice = r.bytes_with_len(kMaxBlob);
+      if (!at || !package || !invoice) return std::nullopt;
       rec.reservation_id = *rid;
       rec.escrow_id = *eid;
       rec.amount = *amount;
       rec.expires_at_ms = *expires;
+      rec.accepted_at_ms = *at;
+      rec.package = std::move(*package);
+      rec.invoice = std::move(*invoice);
       break;
     }
     case static_cast<std::uint8_t>(RecordKind::kRelease): {
@@ -84,19 +88,6 @@ std::optional<StoreRecord> StoreRecord::deserialize(ByteSpan data) {
       }
       rec.reservation_id = *rid;
       rec.cause = static_cast<ReleaseCause>(*cause);
-      break;
-    }
-    case static_cast<std::uint8_t>(RecordKind::kAcceptCommit): {
-      rec.kind = RecordKind::kAcceptCommit;
-      const auto rid = r.u64le();
-      const auto at = r.u64le();
-      auto package = r.bytes_with_len(kMaxBlob);
-      auto invoice = r.bytes_with_len(kMaxBlob);
-      if (!rid || !at || !package || !invoice) return std::nullopt;
-      rec.reservation_id = *rid;
-      rec.accepted_at_ms = *at;
-      rec.package = std::move(*package);
-      rec.invoice = std::move(*invoice);
       break;
     }
     case static_cast<std::uint8_t>(RecordKind::kDisputeOpen): {

@@ -18,9 +18,9 @@ using ReservationId = std::uint64_t;
 
 /// The mutating events the durable store logs.
 enum class RecordKind : std::uint8_t {
-  kReserve = 1,        ///< gateway granted a collateral reservation
+  kReserve = 1,        ///< gateway accepted a payment: hold + package + invoice
   kRelease = 2,        ///< reservation released (settled/judged/expired/rejected)
-  kAcceptCommit = 3,   ///< accepted binding drained from the commit queue
+  // 3 is retired (an older accept record): decoders reject it; never reuse it.
   kDisputeOpen = 4,    ///< watchtower observed an escrow enter DISPUTED
   kDisputeResolve = 5, ///< watchtower observed the dispute leave DISPUTED
   kEpochChange = 6,    ///< replication: a newly promoted primary took over
@@ -40,7 +40,7 @@ enum class ReleaseCause : std::uint8_t {
 struct StoreRecord {
   RecordKind kind = RecordKind::kReserve;
 
-  // kReserve / kRelease / kAcceptCommit
+  // kReserve / kRelease
   ReservationId reservation_id = 0;
   EscrowId escrow_id = 0;
   std::uint64_t amount = 0;         ///< compensation locked against the escrow
@@ -48,7 +48,10 @@ struct StoreRecord {
   ByteArray<32> txid{};             ///< bound BTC payment txid
   ReleaseCause cause = ReleaseCause::kResolved;
 
-  // kAcceptCommit: opaque core::FastPayPackage / invoice encodings.
+  // kReserve: the accepted payment itself — opaque core::FastPayPackage
+  // and core::Invoice encodings plus the accept time — so the one record
+  // written before the accept response rebuilds both the hold and the
+  // merchant's book entry.
   Bytes package;
   Bytes invoice;
   std::uint64_t accepted_at_ms = 0;

@@ -36,10 +36,6 @@ Bytes StateImage::serialize() const {
   auto res = reservations;
   std::sort(res.begin(), res.end(),
             [](const ReservationImage& a, const ReservationImage& b) { return a.id < b.id; });
-  auto acc = accepted;
-  std::sort(acc.begin(), acc.end(), [](const AcceptedImage& a, const AcceptedImage& b) {
-    return a.reservation_id < b.reservation_id;
-  });
   auto dis = open_disputes;
   std::sort(dis.begin(), dis.end(), [](const DisputeImage& a, const DisputeImage& b) {
     if (a.escrow_id != b.escrow_id) return a.escrow_id < b.escrow_id;
@@ -58,13 +54,9 @@ Bytes StateImage::serialize() const {
     w.u64le(r.amount);
     w.u64le(r.expires_at_ms);
     write_txid(w, r.txid);
-  }
-  w.varint(acc.size());
-  for (const auto& a : acc) {
-    w.u64le(a.reservation_id);
-    w.u64le(a.accepted_at_ms);
-    w.bytes_with_len(a.package);
-    w.bytes_with_len(a.invoice);
+    w.u64le(r.accepted_at_ms);
+    w.bytes_with_len(r.package);
+    w.bytes_with_len(r.invoice);
   }
   w.varint(dis.size());
   for (const auto& d : dis) {
@@ -102,28 +94,18 @@ std::optional<StateImage> StateImage::deserialize(ByteSpan data) {
     const auto amount = r.u64le();
     const auto expires = r.u64le();
     if (!id || !eid || !amount || !expires || !read_txid(r, res.txid)) return std::nullopt;
+    const auto at = r.u64le();
+    auto package = r.bytes_with_len(kMaxBlob);
+    auto invoice = r.bytes_with_len(kMaxBlob);
+    if (!at || !package || !invoice) return std::nullopt;
     res.id = *id;
     res.escrow_id = *eid;
     res.amount = *amount;
     res.expires_at_ms = *expires;
+    res.accepted_at_ms = *at;
+    res.package = std::move(*package);
+    res.invoice = std::move(*invoice);
     img.reservations.push_back(std::move(res));
-  }
-
-  const auto n_acc = r.varint();
-  if (!n_acc || *n_acc > kMaxEntries) return std::nullopt;
-  img.accepted.reserve(static_cast<std::size_t>(*n_acc));
-  for (std::uint64_t i = 0; i < *n_acc; ++i) {
-    AcceptedImage acc;
-    const auto rid = r.u64le();
-    const auto at = r.u64le();
-    auto package = r.bytes_with_len(kMaxBlob);
-    auto invoice = r.bytes_with_len(kMaxBlob);
-    if (!rid || !at || !package || !invoice) return std::nullopt;
-    acc.reservation_id = *rid;
-    acc.accepted_at_ms = *at;
-    acc.package = std::move(*package);
-    acc.invoice = std::move(*invoice);
-    img.accepted.push_back(std::move(acc));
   }
 
   const auto n_dis = r.varint();
@@ -172,6 +154,9 @@ bool apply_record(StateImage& image, const StoreRecord& record, std::uint64_t se
       res.amount = record.amount;
       res.expires_at_ms = record.expires_at_ms;
       res.txid = record.txid;
+      res.accepted_at_ms = record.accepted_at_ms;
+      res.package = record.package;
+      res.invoice = record.invoice;
       image.reservations.push_back(std::move(res));
       break;
     }
@@ -181,25 +166,7 @@ bool apply_record(StateImage& image, const StoreRecord& record, std::uint64_t se
           [&](const ReservationImage& r) { return r.id == record.reservation_id; });
       if (it == image.reservations.end()) return false;  // release of unknown id
       image.reservations.erase(it);
-      // An accepted binding whose reservation resolved is settled/judged
-      // history; drop it from the live book image too.
-      auto acc = std::find_if(
-          image.accepted.begin(), image.accepted.end(),
-          [&](const AcceptedImage& a) { return a.reservation_id == record.reservation_id; });
-      if (acc != image.accepted.end()) image.accepted.erase(acc);
       ++image.released_count;
-      break;
-    }
-    case RecordKind::kAcceptCommit: {
-      for (const auto& a : image.accepted) {
-        if (a.reservation_id == record.reservation_id) return false;  // double commit
-      }
-      AcceptedImage acc;
-      acc.reservation_id = record.reservation_id;
-      acc.accepted_at_ms = record.accepted_at_ms;
-      acc.package = record.package;
-      acc.invoice = record.invoice;
-      image.accepted.push_back(std::move(acc));
       break;
     }
     case RecordKind::kDisputeOpen: {

@@ -21,27 +21,23 @@
 namespace btcfast::store {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x31534642;  // "BFS1" little-endian
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Bumped with every change to the body layout, so an image written in
+/// an older layout fails closed instead of decoding as this one.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
-/// A live gateway reservation (collateral held against an escrow).
+/// A payment the gateway acked: the collateral held against its escrow
+/// and the package + invoice that rebuild the merchant's book entry.
 struct ReservationImage {
   ReservationId id = 0;
   EscrowId escrow_id = 0;
   std::uint64_t amount = 0;
   std::uint64_t expires_at_ms = 0;
   ByteArray<32> txid{};
-
-  [[nodiscard]] bool operator==(const ReservationImage& o) const = default;
-};
-
-/// An accepted binding the merchant committed to (commit queue drained).
-struct AcceptedImage {
-  ReservationId reservation_id = 0;
   std::uint64_t accepted_at_ms = 0;
   Bytes package;  ///< opaque core::FastPayPackage encoding
   Bytes invoice;  ///< opaque core::Invoice encoding
 
-  [[nodiscard]] bool operator==(const AcceptedImage& o) const = default;
+  [[nodiscard]] bool operator==(const ReservationImage& o) const = default;
 };
 
 /// A dispute the watchtower observed open and not yet resolved.
@@ -60,7 +56,6 @@ struct DisputeImage {
 struct StateImage {
   std::uint64_t last_seq = 0;  ///< seq of the last applied record
   std::vector<ReservationImage> reservations;
-  std::vector<AcceptedImage> accepted;
   std::vector<DisputeImage> open_disputes;
   // Cumulative history counters, so "byte-identical to the control run"
   // covers not just live entries but how many came and went.

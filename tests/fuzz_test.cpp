@@ -273,6 +273,11 @@ TEST_P(StoreFuzz, BitFlippedSnapshotsFailClosed) {
     res.amount = 1 + rng.below(1'000'000);
     res.expires_at_ms = rng.below(1'000'000);
     res.txid[0] = i;
+    res.accepted_at_ms = rng.below(1'000'000);
+    res.package.resize(1 + rng.below(64));
+    rng.fill({res.package.data(), res.package.size()});
+    res.invoice.resize(rng.below(16));
+    rng.fill({res.invoice.data(), res.invoice.size()});
     img.reservations.push_back(res);
   }
   store::DisputeImage dis;

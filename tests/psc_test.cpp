@@ -3,11 +3,19 @@
 // transfer, logs and view calls.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <thread>
+#include <type_traits>
+#include <vector>
+
 #include "common/serialize.h"
 #include "psc/chain.h"
 
 namespace btcfast::psc {
 namespace {
+
+// Storm replays start each run from a copy of a base chain.
+static_assert(std::is_copy_constructible_v<PscChain> && std::is_copy_assignable_v<PscChain>);
 
 /// Toy contract: a counter with a paid increment and a method that burns
 /// unbounded gas, plus a payout method. Exercises the host surface.
@@ -32,6 +40,10 @@ class Counter final : public Contract {
       for (;;) host.charge_compute(1'000);  // burns gas until OutOfGas
     }
     if (method == "fail") return make_error("deliberate-failure");
+    if (method == "throw") {  // a contract bug: writes, then escapes
+      host.sstore(key, crypto::U256(host.sload(key).low64() + 1));
+      throw std::runtime_error("contract bug");
+    }
     if (method == "payout") {
       Reader r(args);
       auto amount = r.u64le();
@@ -189,6 +201,83 @@ TEST_F(PscFixture, ViewCallLeavesStateUntouched) {
   const Receipt g = chain.execute_now(make_call("get"), 0);
   Reader reader({g.return_data.data(), g.return_data.size()});
   EXPECT_EQ(reader.u64le().value(), 1u);
+}
+
+TEST_F(PscFixture, ViewCallLeavesWorldStateByteIdentical) {
+  // Views run on the live state and revert it, so everything a real
+  // transaction would touch must come back exactly: the value moved to
+  // the contract, a slot created from zero, the caller's fee and nonce,
+  // the fee sink — and accounts created only by the view must vanish.
+  const Address fee_sink = Address::from_label("psc/fee-sink");
+  const Address stranger = Address::from_label("stranger");
+  PscTx to_stranger;
+  to_stranger.from = alice;
+  to_stranger.to = stranger;
+  to_stranger.value = 0;
+  for (int round = 0; round < 2; ++round) {  // fresh slot, then existing slot
+    const WorldState before = chain.state();
+    const Value alice_balance = chain.state().balance(alice);
+    const std::uint64_t alice_nonce = chain.state().nonce(alice);
+    const Value sink_balance = chain.state().balance(fee_sink);
+    const Slot slot = chain.state().storage_load(contract, crypto::U256(1));
+    const std::size_t accounts = chain.state().account_count();
+
+    const Receipt inc = chain.view_call(make_call("increment", {}, 700));
+    EXPECT_TRUE(inc.success);
+    EXPECT_GT(inc.gas_used, 0u);
+    EXPECT_FALSE(chain.view_call(make_call("fail", {}, 300)).success);
+    EXPECT_FALSE(chain.view_call(make_call("spin")).success);  // out of gas
+    EXPECT_TRUE(chain.view_call(to_stranger).success);
+
+    EXPECT_TRUE(chain.state() == before) << "round " << round;
+    EXPECT_EQ(chain.state().balance(alice), alice_balance);
+    EXPECT_EQ(chain.state().nonce(alice), alice_nonce);
+    EXPECT_EQ(chain.state().balance(fee_sink), sink_balance);
+    EXPECT_EQ(chain.state().balance(contract), 0u);
+    EXPECT_EQ(chain.state().storage_load(contract, crypto::U256(1)), slot);
+    EXPECT_EQ(chain.state().account_count(), accounts);
+    EXPECT_EQ(chain.state().total_balance(), chain.total_minted());
+    ASSERT_TRUE(chain.execute_now(make_call("increment"), 0).success);
+  }
+  // Real transactions journal normally after the views.
+  EXPECT_EQ(chain.state().storage_load(contract, crypto::U256(1)).low64(), 2u);
+  EXPECT_EQ(chain.state().nonce(alice), 2u);
+}
+
+TEST_F(PscFixture, ViewCallRevertsWhenAContractThrows) {
+  // An exception other than OutOfGas escapes execute_tx with its own
+  // revert point still open; the view must still undo every write.
+  ASSERT_TRUE(chain.execute_now(make_call("increment"), 0).success);
+  const WorldState before = chain.state();
+  EXPECT_THROW((void)chain.view_call(make_call("throw", {}, 700)), std::runtime_error);
+  EXPECT_TRUE(chain.state() == before);
+  EXPECT_EQ(chain.state().journal_depth(), 0u);
+  ASSERT_TRUE(chain.execute_now(make_call("increment"), 0).success);
+  EXPECT_EQ(chain.state().storage_load(contract, crypto::U256(1)).low64(), 2u);
+}
+
+TEST_F(PscFixture, ConcurrentViewCallsLeaveStateIntact) {
+  // Views from several threads serialize inside the chain; each sees
+  // the state as it was, and none leaves a trace.
+  ASSERT_TRUE(chain.execute_now(make_call("increment"), 0).success);
+  const WorldState before = chain.state();
+  std::vector<std::thread> threads;
+  std::vector<int> wrong(2, 0);
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        const Receipt r = chain.view_call(make_call(i % 2 == 0 ? "get" : "increment", {}, 10));
+        if (!r.success) ++wrong[t];
+        if (i % 2 == 0) {
+          Reader reader({r.return_data.data(), r.return_data.size()});
+          if (reader.u64le().value_or(0) != 1u) ++wrong[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong[0] + wrong[1], 0);
+  EXPECT_TRUE(chain.state() == before);
 }
 
 TEST_F(PscFixture, Sha256HostOpChargesByWord) {

@@ -3,8 +3,10 @@
 // closed), crash-consistency via the FaultFile shim (recovery after
 // every prefix of a commit), snapshot atomicity and total decoding, and
 // DurableStore end-to-end — replay, compaction/pruning, byte-exact
-// recovery at every crash point, and the gateway's accept/flush
-// durability boundary against a live deployment.
+// recovery at every crash point, and the gateway's accept durability
+// boundary against a live deployment: a crash before the flush still
+// books the payment and pays the merchant on a double-spend, and an
+// unreachable replication quorum refuses the accept.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,8 @@
 #include "common/thread_pool.h"
 #include "gateway/pipeline.h"
 #include "gateway/wire.h"
+#include "replication/failover.h"
+#include "replication/follower.h"
 #include "store/crc32c.h"
 #include "store/fault_file.h"
 #include "store/recovery.h"
@@ -82,6 +86,9 @@ StoreRecord reserve_rec(ReservationId rid, EscrowId eid, std::uint64_t amount) {
   r.expires_at_ms = 10'000 + rid;
   r.txid[0] = static_cast<std::uint8_t>(rid);
   r.txid[31] = static_cast<std::uint8_t>(eid);
+  r.accepted_at_ms = 77'000 + rid;
+  r.package = {0xde, 0xad, 0xbe, 0xef, static_cast<std::uint8_t>(rid)};
+  r.invoice = {0x01, 0x02, static_cast<std::uint8_t>(eid)};
   return r;
 }
 
@@ -90,16 +97,6 @@ StoreRecord release_rec(ReservationId rid, ReleaseCause cause) {
   r.kind = RecordKind::kRelease;
   r.reservation_id = rid;
   r.cause = cause;
-  return r;
-}
-
-StoreRecord accept_rec(ReservationId rid) {
-  StoreRecord r;
-  r.kind = RecordKind::kAcceptCommit;
-  r.reservation_id = rid;
-  r.accepted_at_ms = 77'000;
-  r.package = {0xde, 0xad, 0xbe, 0xef};
-  r.invoice = {0x01, 0x02};
   return r;
 }
 
@@ -140,8 +137,8 @@ StoreRecord header_rec(std::uint8_t tag) {
 TEST(StoreRecords, EveryKindRoundTrips) {
   const StoreRecord samples[] = {
       reserve_rec(0x1203, 9, 12345), release_rec(0x1203, ReleaseCause::kExpired),
-      accept_rec(0x1203), dispute_open_rec(9, 0x42), dispute_resolve_rec(9, 0x42),
-      epoch_rec(3), header_rec(0x50)};
+      dispute_open_rec(9, 0x42), dispute_resolve_rec(9, 0x42), epoch_rec(3),
+      header_rec(0x50)};
   for (const auto& rec : samples) {
     const auto back = StoreRecord::deserialize(rec.serialize());
     ASSERT_TRUE(back.has_value()) << "kind " << static_cast<int>(rec.kind);
@@ -150,7 +147,7 @@ TEST(StoreRecords, EveryKindRoundTrips) {
 }
 
 TEST(StoreRecords, RejectsTruncationAndTrailingBytes) {
-  for (const auto& rec : {reserve_rec(1, 2, 3), accept_rec(7), dispute_open_rec(3, 1)}) {
+  for (const auto& rec : {reserve_rec(1, 2, 3), dispute_open_rec(3, 1)}) {
     const Bytes full = rec.serialize();
     for (std::size_t len = 0; len < full.size(); ++len) {
       EXPECT_FALSE(StoreRecord::deserialize({full.data(), len}).has_value())
@@ -165,6 +162,8 @@ TEST(StoreRecords, RejectsTruncationAndTrailingBytes) {
 TEST(StoreRecords, RejectsBadEnums) {
   Bytes bad_kind = reserve_rec(1, 2, 3).serialize();
   bad_kind[0] = 0x77;
+  EXPECT_FALSE(StoreRecord::deserialize(bad_kind).has_value());
+  bad_kind[0] = 3;  // the retired flush-time accept record
   EXPECT_FALSE(StoreRecord::deserialize(bad_kind).has_value());
 
   Bytes bad_cause = release_rec(1, ReleaseCause::kResolved).serialize();
@@ -445,14 +444,11 @@ StateImage sample_image() {
     r.amount = 1000u + i;
     r.expires_at_ms = 50'000;
     r.txid[0] = i;
+    r.accepted_at_ms = 12'000u + i;
+    r.package = {9, 8, 7, i};
+    r.invoice = {6, 5, i};
     img.reservations.push_back(r);
   }
-  AcceptedImage a;
-  a.reservation_id = 0x301;
-  a.accepted_at_ms = 12'000;
-  a.package = {9, 8, 7};
-  a.invoice = {6, 5};
-  img.accepted.push_back(a);
   DisputeImage d;
   d.escrow_id = 7;
   d.txid[1] = 0xcc;
@@ -479,6 +475,21 @@ TEST(Snapshot, EncodeDecodeRoundTrip) {
   const auto back = decode_snapshot(encode_snapshot(img));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->serialize(), img.serialize());
+  EXPECT_EQ(*back, img);  // package, invoice and accept time included
+}
+
+TEST(Snapshot, OlderVersionFailsClosed) {
+  // A well-formed, correctly checksummed image of the previous version
+  // (accepted payments in a separate list) must not decode as this one.
+  Bytes enc = encode_snapshot(sample_image());
+  Writer covered;
+  covered.u32le(kSnapshotVersion - 1);
+  covered.bytes({enc.data() + 12, enc.size() - 12});
+  Writer w;
+  w.u32le(kSnapshotMagic);
+  w.u32le(crc32c(covered.data()));
+  w.bytes(covered.data());
+  EXPECT_FALSE(decode_snapshot(w.data()).has_value());
 }
 
 TEST(Snapshot, EveryByteFlipAndTruncationFailsClosed) {
@@ -515,17 +526,18 @@ TEST(Snapshot, ApplyRecordRejectsImpossibleTransitions) {
   EXPECT_FALSE(apply_record(img, release_rec(5, ReleaseCause::kResolved), 1));  // unknown rid
   EXPECT_TRUE(apply_record(img, reserve_rec(5, 1, 100), 1));
   EXPECT_FALSE(apply_record(img, reserve_rec(5, 1, 100), 2));  // double reserve
-  EXPECT_TRUE(apply_record(img, accept_rec(5), 2));
-  EXPECT_FALSE(apply_record(img, accept_rec(5), 3));  // double commit
+  ASSERT_EQ(img.reservations.size(), 1u);
+  EXPECT_EQ(img.reservations[0].package, reserve_rec(5, 1, 100).package);
+  EXPECT_EQ(img.reservations[0].invoice, reserve_rec(5, 1, 100).invoice);
+  EXPECT_EQ(img.reservations[0].accepted_at_ms, reserve_rec(5, 1, 100).accepted_at_ms);
   EXPECT_TRUE(apply_record(img, dispute_open_rec(1, 0x11), 3));
   EXPECT_FALSE(apply_record(img, dispute_open_rec(1, 0x11), 4));     // dup dispute
   EXPECT_FALSE(apply_record(img, dispute_resolve_rec(1, 0x22), 4));  // wrong txid
   EXPECT_TRUE(apply_record(img, dispute_resolve_rec(1, 0x11), 4));
   EXPECT_EQ(img.last_seq, 4u);
   EXPECT_EQ(img.resolved_disputes, 1u);
-  // Releasing an accepted reservation also retires the accepted entry.
+  // Releasing a reservation retires the hold and its payment together.
   EXPECT_TRUE(apply_record(img, release_rec(5, ReleaseCause::kResolved), 5));
-  EXPECT_TRUE(img.accepted.empty());
   EXPECT_TRUE(img.reservations.empty());
 }
 
@@ -561,12 +573,12 @@ std::vector<StoreRecord> event_tape() {
   std::vector<StoreRecord> tape;
   tape.push_back(reserve_rec(0x101, 1, 1000));
   tape.push_back(reserve_rec(0x202, 2, 2000));
-  tape.push_back(accept_rec(0x101));
+  tape.push_back(reserve_rec(0x505, 3, 700));
   tape.push_back(dispute_open_rec(1, 0x31));
   tape.push_back(release_rec(0x202, ReleaseCause::kExpired));
   tape.push_back(reserve_rec(0x303, 2, 500));
   tape.push_back(dispute_resolve_rec(1, 0x31));
-  tape.push_back(accept_rec(0x303));
+  tape.push_back(release_rec(0x505, ReleaseCause::kRejected));
   tape.push_back(release_rec(0x101, ReleaseCause::kResolved));
   tape.push_back(dispute_open_rec(2, 0x44));
   return tape;
@@ -818,6 +830,12 @@ TEST(DurableStoreTest, SnapshotCompactsPrunesAndBoundsReplay) {
   EXPECT_EQ(info.snapshot_seq, 8u);        // last auto-snapshot at record 8
   EXPECT_EQ(info.replayed_records, 2u);    // only the suffix replays
   EXPECT_EQ(st->image_copy().serialize(), control.serialize());
+  // The one live reservation came back through the snapshot with its
+  // payment, not only its hold.
+  const StateImage recovered = st->image_copy();
+  ASSERT_EQ(recovered.reservations.size(), 1u);
+  EXPECT_EQ(recovered.reservations[0].package, reserve_rec(0x303, 2, 500).package);
+  EXPECT_EQ(recovered.reservations[0].invoice, reserve_rec(0x303, 2, 500).invoice);
   st.reset();
   fs::remove_all(dir);
 }
@@ -982,7 +1000,7 @@ struct StoreGatewayUnit : ::testing::Test {
   core::FastPayPackage pkg{};
 };
 
-TEST_F(StoreGatewayUnit, CrashBetweenAcceptAndFlushKeepsReservationNotAccept) {
+TEST_F(StoreGatewayUnit, CrashBetweenAcceptAndFlushKeepsReservationAndBookEntry) {
   const std::string dir = scratch_dir("gw-accept-flush");
   StoreOptions opts;
   opts.policy = FsyncPolicy::kNone;
@@ -1009,16 +1027,21 @@ TEST_F(StoreGatewayUnit, CrashBetweenAcceptAndFlushKeepsReservationNotAccept) {
   EXPECT_EQ(info.replayed_records, 1u);
   const StateImage image = st2->image_copy();
   ASSERT_EQ(image.reservations.size(), 1u);
-  EXPECT_TRUE(image.accepted.empty());  // flush never happened: not covered
   EXPECT_EQ(image.reservations[0].escrow_id, dep->customer().escrow_id());
   EXPECT_EQ(image.reservations[0].amount, pkg.binding.binding.compensation);
+  EXPECT_EQ(image.reservations[0].package, pkg.serialize());
+  EXPECT_EQ(image.reservations[0].invoice, invoice.serialize());
+  EXPECT_EQ(image.reservations[0].accepted_at_ms, now);
 
   auto gw2 = make_gateway(dep->merchant());
   gw2->attach_store(st2.get());
   ASSERT_TRUE(gw2->restore_from(image));
-  // The binding was never booked (crash before flush), so the merchant
-  // book is empty — but the collateral hold survived the crash.
-  EXPECT_EQ(dep->merchant().pending().size(), 0u);
+  // The one accept record rebuilt both halves: the merchant book holds
+  // the acked binding, and the collateral hold survived the crash.
+  ASSERT_EQ(dep->merchant().pending().size(), 1u);
+  EXPECT_EQ(dep->merchant().pending()[0].package.binding.binding.btc_txid,
+            pkg.payment_tx.txid());
+  EXPECT_EQ(dep->merchant().pending()[0].accepted_at_ms, now);
   const auto snap = gw2->escrow_snapshot(dep->customer().escrow_id());
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(snap->local_reserved, pkg.binding.binding.compensation);
@@ -1051,13 +1074,15 @@ TEST_F(StoreGatewayUnit, RecoveryRestoresFlushedAcceptsIntoFreshProcess) {
   gw->register_invoice(invoice);
   const auto resp = decode_result(gw->serve(submit_frame(1, invoice, pkg), now));
   ASSERT_TRUE(resp.accepted) << resp.reason;
+  const std::uint64_t appends_at_accept = st->wal_appends();
   (void)gw->flush_accepted();
   EXPECT_EQ(dep->merchant().pending().size(), 1u);
+  EXPECT_EQ(st->wal_appends(), appends_at_accept);  // the flush writes nothing
 
   // The stats dump mirrors the store counters.
   const std::string json = gw->stats().to_json();
   EXPECT_NE(json.find("\"wal_appends\""), std::string::npos);
-  EXPECT_GE(gw->stats().store_wal_appends(), 2u);  // reserve + accept-commit
+  EXPECT_GE(gw->stats().store_wal_appends(), 1u);  // the one accept record
 
   gw.reset();
   st.reset();
@@ -1071,16 +1096,15 @@ TEST_F(StoreGatewayUnit, RecoveryRestoresFlushedAcceptsIntoFreshProcess) {
   RecoveryInfo info;
   auto st2 = DurableStore::open(dir, opts, &info);
   ASSERT_NE(st2, nullptr) << info.error;
-  EXPECT_EQ(info.replayed_records, 2u);
+  EXPECT_EQ(info.replayed_records, 1u);
   const StateImage image = st2->image_copy();
   ASSERT_EQ(image.reservations.size(), 1u);
-  ASSERT_EQ(image.accepted.size(), 1u);
 
   auto gw2 = std::make_unique<gateway::Gateway>(dep2->merchant(), pool, gateway::GatewayConfig{});
   gw2->track_escrow(dep2->customer().escrow_id());
   gw2->attach_store(st2.get());
   ASSERT_TRUE(gw2->restore_from(image));
-  EXPECT_GE(gw2->stats().store_recovery_replayed(), 2u);
+  EXPECT_GE(gw2->stats().store_recovery_replayed(), 1u);
 
   ASSERT_EQ(dep2->merchant().pending().size(), 1u);
   const auto& restored = dep2->merchant().pending()[0];
@@ -1090,6 +1114,247 @@ TEST_F(StoreGatewayUnit, RecoveryRestoresFlushedAcceptsIntoFreshProcess) {
   const auto snap = gw2->escrow_snapshot(dep2->customer().escrow_id());
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(snap->local_reserved, pkg.binding.binding.compensation);
+  gw2.reset();
+  st2.reset();
+  fs::remove_all(dir);
+}
+
+// BTCFast's promise, checked across the accept/flush crash window: a
+// payment acked and then lost from gateway memory before any flush must
+// still be disputed and paid from the escrow when the customer
+// double-spends — the accept record alone has to carry everything the
+// merchant needs.
+TEST_F(StoreGatewayUnit, CrashBeforeFlushStillCompensatesMerchantOnDoubleSpend) {
+  const std::string dir = scratch_dir("gw-made-whole");
+  StoreOptions opts;
+  opts.policy = FsyncPolicy::kNone;
+  auto st = DurableStore::open(dir, opts);
+  ASSERT_NE(st, nullptr);
+  auto gw = make_gateway(dep->merchant());
+  gw->attach_store(st.get());
+  gw->register_invoice(invoice);
+  const auto resp = decode_result(gw->serve(submit_frame(1, invoice, pkg), now));
+  ASSERT_TRUE(resp.accepted) << resp.reason;
+  // The merchant releases the goods here. Then the gateway and its store
+  // handle die before any flush.
+  gw.reset();
+  st.reset();
+
+  // A replacement process on a fresh deployment with the same
+  // parameters recovers from disk alone.
+  auto dep2 = std::make_unique<core::Deployment>(dep->config());
+  RecoveryInfo info;
+  auto st2 = DurableStore::open(dir, opts, &info);
+  ASSERT_NE(st2, nullptr) << info.error;
+  auto gw2 = std::make_unique<gateway::Gateway>(dep2->merchant(), pool, gateway::GatewayConfig{});
+  gw2->track_escrow(dep2->customer().escrow_id());
+  gw2->attach_store(st2.get());
+  ASSERT_TRUE(gw2->restore_from(st2->image_copy()));
+  ASSERT_EQ(dep2->merchant().pending().size(), 1u);
+
+  // The customer double-spends the bound coin back to itself.
+  ASSERT_EQ(pkg.payment_tx.inputs[0].prevout, coins[0].first);
+  const auto conflict = sim::build_payment(
+      dep2->customer().btc_identity(), coins[0].first, coins[0].second.out.value,
+      dep2->customer().btc_identity().script, 5 * btc::kCoin, /*fee=*/3000);
+  dep2->customer_node().receive_tx(conflict);
+
+  // Past the dispute trigger, the evidence window and judgment.
+  const auto before = dep2->summarize();
+  const auto& cfg = dep2->config();
+  dep2->run_for(static_cast<SimTime>(cfg.dispute_after_ms + cfg.evidence_window_ms) +
+                60 * 60 * 1000);
+  const auto after = dep2->summarize();
+
+  EXPECT_GT(dep2->merchant_node().chain().confirmations(conflict.txid()), 0u);
+  EXPECT_EQ(dep2->merchant_node().chain().confirmations(pkg.payment_tx.txid()), 0u);
+  EXPECT_EQ(after.disputes_opened, 1u);
+  EXPECT_EQ(after.judged_for_merchant, 1u);
+  EXPECT_EQ(after.judged_for_customer, 0u);
+  EXPECT_TRUE(dep2->merchant().pending()[0].judged);
+  // The compensation left the escrow and reached the merchant: its
+  // balance rose by the compensation less at most every gas unit the
+  // chain burnt meanwhile (gas price 1).
+  const psc::Value compensation = pkg.binding.binding.compensation;
+  EXPECT_EQ(after.escrow_collateral, before.escrow_collateral - compensation);
+  EXPECT_GE(after.merchant_psc_balance + (after.total_gas_used - before.total_gas_used),
+            before.merchant_psc_balance + compensation);
+  gw2.reset();
+  st2.reset();
+  fs::remove_all(dir);
+}
+
+// The honest side of the same crash: the payment was acked but never
+// flushed, so it was never broadcast. The restore rebroadcasts it; it
+// confirms, the merchant settles, and the customer's collateral is
+// untouched.
+TEST_F(StoreGatewayUnit, CrashBeforeFlushHonestPaymentConfirmsWithoutDispute) {
+  const std::string dir = scratch_dir("gw-honest-restore");
+  StoreOptions opts;
+  opts.policy = FsyncPolicy::kNone;
+  auto st = DurableStore::open(dir, opts);
+  ASSERT_NE(st, nullptr);
+  auto gw = make_gateway(dep->merchant());
+  gw->attach_store(st.get());
+  gw->register_invoice(invoice);
+  const auto resp = decode_result(gw->serve(submit_frame(1, invoice, pkg), now));
+  ASSERT_TRUE(resp.accepted) << resp.reason;
+  gw.reset();
+  st.reset();
+
+  auto dep2 = std::make_unique<core::Deployment>(dep->config());
+  RecoveryInfo info;
+  auto st2 = DurableStore::open(dir, opts, &info);
+  ASSERT_NE(st2, nullptr) << info.error;
+  auto gw2 = std::make_unique<gateway::Gateway>(dep2->merchant(), pool, gateway::GatewayConfig{});
+  gw2->track_escrow(dep2->customer().escrow_id());
+  gw2->attach_store(st2.get());
+  const btc::Txid txid = pkg.payment_tx.txid();
+  ASSERT_FALSE(dep2->merchant_node().mempool().contains(txid));
+  ASSERT_TRUE(gw2->restore_from(st2->image_copy()));
+  ASSERT_EQ(dep2->merchant().pending().size(), 1u);
+  EXPECT_TRUE(dep2->merchant_node().mempool().contains(txid));
+
+  const auto before = dep2->summarize();
+  const auto& cfg = dep2->config();
+  dep2->run_for(static_cast<SimTime>(cfg.dispute_after_ms + cfg.evidence_window_ms) +
+                60 * 60 * 1000);
+  const auto after = dep2->summarize();
+
+  EXPECT_GE(dep2->merchant_node().chain().confirmations(txid), cfg.settle_confirmations);
+  EXPECT_TRUE(dep2->merchant().pending()[0].settled);
+  EXPECT_EQ(after.disputes_opened, 0u);
+  EXPECT_EQ(after.escrow_collateral, before.escrow_collateral);
+  gw2.reset();
+  st2.reset();
+  fs::remove_all(dir);
+}
+
+// A pending-limit refusal must leave nothing in the log: a logged
+// reserve is a booked payment after any restore or failover, so a
+// refused payment logged there would be disputed as if it were sold.
+TEST_F(StoreGatewayUnit, PendingLimitRefusalWritesNoRecord) {
+  const std::string dir = scratch_dir("gw-pending-limit");
+  StoreOptions opts;
+  opts.policy = FsyncPolicy::kNone;
+  auto st = DurableStore::open(dir, opts);
+  ASSERT_NE(st, nullptr);
+  // Collateral for both payments, so only the pending limit refuses.
+  core::DeploymentConfig cfg = dep->config();
+  cfg.collateral = 3'000'000;
+  core::Deployment roomy(cfg);
+  core::MerchantService::Config mcfg = roomy.merchant().config();
+  mcfg.max_pending_payments = 1;
+  core::MerchantService limited(roomy.merchant().btc_identity(), roomy.merchant_node(),
+                                roomy.psc(), mcfg);
+  const auto inv = roomy.merchant().make_invoice(5 * btc::kCoin, cfg.compensation, now,
+                                                 10ULL * 60 * 1000);
+  const auto own = sim::find_spendable(roomy.customer_node().chain(),
+                                       roomy.customer().btc_identity().script);
+  ASSERT_GE(own.size(), 2u);
+  const auto first_pkg = roomy.customer().create_fastpay(inv, own[0].first,
+                                                         own[0].second.out.value, now,
+                                                         cfg.binding_ttl_ms);
+  const auto second_pkg = roomy.customer().create_fastpay(inv, own[1].first,
+                                                          own[1].second.out.value, now,
+                                                          cfg.binding_ttl_ms);
+  auto gw = std::make_unique<gateway::Gateway>(limited, pool, gateway::GatewayConfig{});
+  gw->track_escrow(roomy.customer().escrow_id());
+  gw->attach_store(st.get());
+  gw->register_invoice(inv);
+  const auto first = decode_result(gw->serve(submit_frame(1, inv, first_pkg), now));
+  ASSERT_TRUE(first.accepted) << first.reason;
+  const auto second = decode_result(gw->serve(submit_frame(2, inv, second_pkg), now));
+  EXPECT_FALSE(second.accepted);
+  EXPECT_EQ(second.code, core::RejectReason::kPendingLimit);
+
+  const auto scan = st->read_range(1, 16);
+  ASSERT_TRUE(scan.ok()) << scan.error;
+  ASSERT_EQ(scan.records.size(), 1u);
+  const auto reserve = StoreRecord::deserialize(scan.records[0].payload);
+  ASSERT_TRUE(reserve.has_value());
+  EXPECT_EQ(reserve->kind, RecordKind::kReserve);
+  EXPECT_EQ(reserve->package, first_pkg.serialize());
+  gw.reset();
+  st.reset();
+
+  RecoveryInfo info;
+  auto st2 = DurableStore::open(dir, opts, &info);
+  ASSERT_NE(st2, nullptr) << info.error;
+  core::Deployment fresh(cfg);
+  auto gw2 = std::make_unique<gateway::Gateway>(fresh.merchant(), pool, gateway::GatewayConfig{});
+  gw2->track_escrow(fresh.customer().escrow_id());
+  gw2->attach_store(st2.get());
+  ASSERT_TRUE(gw2->restore_from(st2->image_copy()));
+  ASSERT_EQ(fresh.merchant().pending().size(), 1u);
+  EXPECT_EQ(fresh.merchant().pending()[0].package.binding.binding.btc_txid,
+            first_pkg.binding.binding.btc_txid);
+  gw2.reset();
+  st2.reset();
+  fs::remove_all(dir);
+}
+
+// The one quorum gate left on the accept path: with no follower
+// reachable the accept must be refused, its hold released, and the log
+// must say so — a restore then holds nothing and books nothing.
+TEST_F(StoreGatewayUnit, UnreachableQuorumRefusesAcceptAndReleasesHold) {
+  const std::string dir = scratch_dir("gw-no-quorum");
+  StoreOptions opts;
+  opts.policy = FsyncPolicy::kNone;
+  auto st = DurableStore::open(dir, opts);
+  ASSERT_NE(st, nullptr);
+  replication::LocalFollowerLink down_link(nullptr);  // no follower answers
+  replication::ReplicationConfig rcfg;
+  rcfg.quorum = 1;
+  replication::ReplicationGroup group(rcfg);
+  group.add_follower(&down_link);
+  group.attach_primary(st.get());
+
+  auto gw = make_gateway(dep->merchant());
+  gw->attach_store(st.get());
+  gw->attach_commit_gate(&group);
+  gw->register_invoice(invoice);
+  const auto resp = decode_result(gw->serve(submit_frame(1, invoice, pkg), now));
+  EXPECT_FALSE(resp.accepted);
+  EXPECT_EQ(resp.code, core::RejectReason::kOverloaded);
+  EXPECT_EQ(gw->commit_queue_depth(), 0u);
+  const auto snap = gw->escrow_snapshot(dep->customer().escrow_id());
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->local_reserved, 0u);
+
+  // The WAL holds the accept record followed by its rejected release.
+  const auto scan = st->read_range(1, 16);
+  ASSERT_TRUE(scan.ok()) << scan.error;
+  ASSERT_EQ(scan.records.size(), 2u);
+  const auto reserve = StoreRecord::deserialize(scan.records[0].payload);
+  const auto release = StoreRecord::deserialize(scan.records[1].payload);
+  ASSERT_TRUE(reserve.has_value());
+  ASSERT_TRUE(release.has_value());
+  EXPECT_EQ(reserve->kind, RecordKind::kReserve);
+  EXPECT_EQ(reserve->package, pkg.serialize());
+  EXPECT_EQ(release->kind, RecordKind::kRelease);
+  EXPECT_EQ(release->cause, ReleaseCause::kRejected);
+  EXPECT_EQ(release->reservation_id, reserve->reservation_id);
+
+  group.detach_primary();
+  gw.reset();
+  st.reset();
+
+  RecoveryInfo info;
+  auto st2 = DurableStore::open(dir, opts, &info);
+  ASSERT_NE(st2, nullptr) << info.error;
+  const StateImage image = st2->image_copy();
+  EXPECT_TRUE(image.reservations.empty());
+  EXPECT_EQ(image.released_count, 1u);
+  auto dep2 = std::make_unique<core::Deployment>(dep->config());
+  auto gw2 = std::make_unique<gateway::Gateway>(dep2->merchant(), pool, gateway::GatewayConfig{});
+  gw2->track_escrow(dep2->customer().escrow_id());
+  gw2->attach_store(st2.get());
+  ASSERT_TRUE(gw2->restore_from(image));
+  EXPECT_EQ(dep2->merchant().pending().size(), 0u);
+  const auto snap2 = gw2->escrow_snapshot(dep2->customer().escrow_id());
+  ASSERT_TRUE(snap2.has_value());
+  EXPECT_EQ(snap2->local_reserved, 0u);
   gw2.reset();
   st2.reset();
   fs::remove_all(dir);
