@@ -1,28 +1,23 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure, build, and run the full test suite.
 #
-# Usage: scripts/tier1.sh [preset] [--bench-smoke] [--kernel-sanitize]
-#                         [--fuzz-smoke] [--scenario-fuzz [N]] [--gateway-smoke]
-#                         [--store-smoke] [--verify-smoke] [--net-smoke]
-#                         [--dispute-smoke] [--replication-smoke]
+# Usage: scripts/tier1.sh [preset] [--bench-smoke] [--scenario-fuzz [N]]
+#                         [--gateway-smoke] [--store-smoke] [--verify-smoke]
+#                         [--net-smoke] [--dispute-smoke] [--replication-smoke]
 #   preset             "default" (the gate), or "tsan"/"asan"/"ubsan" for a
-#                      full sanitizer suite run.
+#                      full sanitizer suite run. Under "asan" and "ubsan"
+#                      the whole ctest suite runs with the decoder fuzz
+#                      corpus promoted to BTCFAST_FUZZ_ITERS=2000 (2000 x 5
+#                      fixed seeds = 10k iterations per decoder) unless the
+#                      caller already set it. Sanitizer builds pin the
+#                      scalar SHA-256 fallback (src/crypto/CMakeLists.txt),
+#                      so these two runs also keep the portable hashing
+#                      kernel honest while the default build uses SHA-NI.
 #   --bench-smoke      after the tests, run every bench_* binary once (the
 #                      google-benchmark suite at its minimum iteration
 #                      budget, the bounded hand-timed harnesses at full
 #                      length) in a scratch cwd — catches bench bit-rot
 #                      without touching the curated BENCH_*.json artifacts.
-#   --kernel-sanitize  additionally build the asan and ubsan trees and run
-#                      the hashing-kernel + crypto tests there. Sanitizer
-#                      builds pin the scalar SHA-256 fallback
-#                      (BTCFAST_FORCE_SCALAR_SHA256), so this is what keeps
-#                      the portable kernel honest while the default build
-#                      dispatches to SHA-NI.
-#   --fuzz-smoke       build the asan and ubsan trees and run the decoder
-#                      fuzz tests at a fixed 10k-iteration corpus per
-#                      decoder (BTCFAST_FUZZ_ITERS=2000 across the suite's
-#                      5 fixed seeds) — the promoted version of the quick
-#                      default-build fuzz pass.
 #   --scenario-fuzz [N]
 #                      run the adversarial scenario fuzzer over N seeds
 #                      (default 25) in the current preset's tree. On an
@@ -36,40 +31,24 @@
 #                      over the 1-thread run — auto-skipped when the
 #                      machine has fewer hardware threads than the bench
 #                      asks for, or when BTCFAST_SKIP_SCALE_CHECK is set.
-#                      Then build the asan and ubsan trees and run the
-#                      gateway tests plus the wire-decoder fuzz corpus
-#                      (BTCFAST_FUZZ_ITERS=2000) there.
-#   --store-smoke      the durability gate: run the full recovery + fault
-#                      suite (store_test) and the WAL/snapshot corruption
-#                      fuzz corpus (BTCFAST_FUZZ_ITERS=2000) under both
-#                      memory sanitizers, plus the durability bench in its
-#                      short configuration (BTCFAST_DURABILITY_SMOKE) in a
-#                      scratch cwd.
-#   --net-smoke        the TCP front-end gate: run the network torture
-#                      suite (net_test) and the frame-reassembly fuzz
-#                      corpus (BTCFAST_FUZZ_ITERS=2000) under both memory
-#                      sanitizers, then the fork-based loopback load bench
-#                      in its short configuration (BTCFAST_E13_SMOKE) in a
-#                      scratch cwd, asserting accepts/s > 0 and that the
-#                      ban + shed coverage invariants held. The bench's
-#                      size knobs (BTCFAST_E13_CLIENTS / _REQUESTS /
-#                      _PIPELINE) pass through for bigger machines.
-#   --dispute-smoke    the dispute-storm gate: run the storm parity +
-#                      header-index + header-sync suite (dispute_test) and
-#                      the dispute fuzz corpus (BTCFAST_FUZZ_ITERS=2000)
-#                      under both memory sanitizers, then the storm bench
-#                      in its short configuration (BTCFAST_E14_SMOKE) in a
-#                      scratch cwd, asserting disputes/s > 0, a nonzero
-#                      dedup hit rate on the shared-segment workload, and
-#                      byte-identical gas between the batch and naive
-#                      paths.
+#   --store-smoke      run the durability bench in its short configuration
+#                      (BTCFAST_DURABILITY_SMOKE) in a scratch cwd.
+#   --net-smoke        run the fork-based loopback load bench in its short
+#                      configuration (BTCFAST_E13_SMOKE) in a scratch cwd,
+#                      asserting accepts/s > 0 and that the ban + shed
+#                      coverage invariants held. The bench's size knobs
+#                      (BTCFAST_E13_CLIENTS / _REQUESTS / _PIPELINE) pass
+#                      through for bigger machines.
+#   --dispute-smoke    run the storm bench in its short configuration
+#                      (BTCFAST_E14_SMOKE) in a scratch cwd, asserting
+#                      disputes/s > 0, a nonzero dedup hit rate on the
+#                      shared-segment workload, and byte-identical gas
+#                      between the batch and naive paths.
 #   --replication-smoke
-#                      the replication gate: run the primary/follower +
-#                      failover + router suite (replication_test) under
-#                      both memory sanitizers, then the replication bench
-#                      in its short configuration (BTCFAST_E15_SMOKE) in a
-#                      scratch cwd, asserting nonzero quorum-gated acks
-#                      and a byte-exact promoted image after failover.
+#                      run the replication bench in its short configuration
+#                      (BTCFAST_E15_SMOKE) in a scratch cwd, asserting
+#                      nonzero quorum-gated acks and a byte-exact promoted
+#                      image after failover.
 #   --verify-smoke     the ECDSA verify-speed gate: run the hand-timed
 #                      verify section of bench_micro_crypto
 #                      (BTCFAST_VERIFY_SMOKE=1) in a scratch cwd and fail
@@ -85,11 +64,9 @@ cd "$(dirname "$0")/.."
 
 preset="default"
 bench_smoke=0
-kernel_sanitize=0
 verify_smoke=0
 net_smoke=0
 dispute_smoke=0
-fuzz_smoke=0
 gateway_smoke=0
 store_smoke=0
 replication_smoke=0
@@ -106,8 +83,6 @@ for arg in "$@"; do
   fi
   case "$arg" in
     --bench-smoke) bench_smoke=1 ;;
-    --kernel-sanitize) kernel_sanitize=1 ;;
-    --fuzz-smoke) fuzz_smoke=1 ;;
     --gateway-smoke) gateway_smoke=1 ;;
     --store-smoke) store_smoke=1 ;;
     --verify-smoke) verify_smoke=1 ;;
@@ -121,10 +96,6 @@ done
 
 jobs="$(nproc 2>/dev/null || echo 2)"
 
-cmake --preset "$preset"
-cmake --build --preset "$preset" -j "$jobs"
-ctest --preset "$preset" -j "$jobs"
-
 bindir="build"
 case "$preset" in
   tsan) bindir="build-tsan" ;;
@@ -132,14 +103,45 @@ case "$preset" in
   ubsan) bindir="build-ubsan" ;;
 esac
 
+case "$preset" in
+  asan|ubsan) export BTCFAST_FUZZ_ITERS="${BTCFAST_FUZZ_ITERS:-2000}" ;;
+esac
+
+cmake --preset "$preset"
+cmake --build --preset "$preset" -j "$jobs"
+ctest --preset "$preset" -j "$jobs"
+
+repo_root="$PWD"
+
+# Run one bench in a scratch cwd under $bindir (benches write BENCH_*.json
+# into their cwd; a smoke run must not clobber the curated artifacts at
+# the repo root with noisy throwaway numbers). Extra leading VAR=value
+# arguments are passed through as environment.
+smoke_bench() {
+  local dir="$bindir/$1" target="$2"
+  shift 2
+  cmake --build --preset "$preset" -j "$jobs" --target "$target"
+  mkdir -p "$dir"
+  (cd "$dir" && env "$@" "$repo_root/$bindir/bench/$target")
+}
+
+# One value (number or bare word, quotes stripped) of a top-level-style
+# "key": value line in a smoke JSON file.
+json_field() {
+  sed -n "s/^[[:space:]]*\"$2\":[[:space:]]*\"\{0,1\}\([0-9.a-z]*\)\"\{0,1\}.*/\1/p" "$1" | head -n1
+}
+
+fail() {
+  echo "== $1: FAILED — $2 =="
+  exit 1
+}
+
+positive() { awk -v v="$1" 'BEGIN{exit !(v > 0)}'; }
+
 if [[ "$bench_smoke" == 1 ]]; then
   echo "== bench smoke (${bindir}) =="
-  # Run from a scratch directory: benches write BENCH_*.json into their
-  # cwd, and the smoke run must not clobber the curated artifacts at the
-  # repo root with noisy throwaway numbers.
   smoke_dir="$bindir/bench-smoke"
   mkdir -p "$smoke_dir"
-  repo_root="$PWD"
   for bench in "$bindir"/bench/bench_*; do
     [[ -x "$bench" ]] || continue
     name="$(basename "$bench")"
@@ -155,64 +157,24 @@ if [[ "$bench_smoke" == 1 ]]; then
   echo "== bench smoke: all benches ran =="
 fi
 
-if [[ "$kernel_sanitize" == 1 ]]; then
-  for san in asan ubsan; do
-    echo "== kernel tests under $san (scalar SHA-256 pinned) =="
-    cmake --preset "$san"
-    cmake --build --preset "$san" -j "$jobs" \
-      --target sha256_kernel_test crypto_test crypto_property_test thread_pool_test \
-               sigcache_test
-    for t in sha256_kernel_test crypto_test crypto_property_test thread_pool_test \
-             sigcache_test; do
-      "build-$san/tests/$t"
-    done
-  done
-  echo "== kernel sanitize: clean =="
-fi
-
-if [[ "$fuzz_smoke" == 1 ]]; then
-  # Promote the decoder fuzz tests from their quick default budget to a
-  # fixed 10k-iteration corpus per decoder, under both memory sanitizers.
-  # The iteration count is an env override so the default ctest pass stays
-  # fast; seeds inside the suite are fixed, so this corpus is identical on
-  # every run.
-  for san in asan ubsan; do
-    echo "== fuzz smoke under $san (10k iterations per decoder) =="
-    cmake --preset "$san"
-    cmake --build --preset "$san" -j "$jobs" --target fuzz_test
-    BTCFAST_FUZZ_ITERS=2000 "build-$san/tests/fuzz_test"
-  done
-  echo "== fuzz smoke: clean =="
-fi
-
 if [[ "$gateway_smoke" == 1 ]]; then
-  # The serving-layer gate: a short run of the concurrent gateway bench
-  # (1 and 8 customer threads, shrunk payment volume), then the gateway
-  # unit + pipeline tests and the wire-decoder fuzz corpus under both
-  # memory sanitizers. Run from a scratch cwd for the same reason as the
-  # bench smoke: keep the curated BENCH_e11_gateway.json artifact intact.
+  # A short run of the concurrent gateway bench (1 and 8 customer
+  # threads, shrunk payment volume). Thread-scaling assertion: the smoke
+  # JSON records accepts/s at 1 and 8 threads plus the machine's hardware
+  # thread count. On a machine with enough cores, 8 threads must beat 1
+  # thread by the configured factor; on constrained runners the check is
+  # meaningless and skips itself.
   echo "== gateway smoke bench (${bindir}) =="
-  cmake --build --preset "$preset" -j "$jobs" --target bench_e11_gateway
-  smoke_dir="$bindir/gateway-smoke"
-  mkdir -p "$smoke_dir"
-  repo_root="$PWD"
-  (cd "$smoke_dir" && BTCFAST_GATEWAY_SMOKE=1 "$repo_root/$bindir/bench/bench_e11_gateway")
-  # Thread-scaling assertion: the smoke JSON records accepts/s at 1 and 8
-  # threads plus the machine's hardware thread count. On a machine with
-  # enough cores, 8 threads must beat 1 thread by the configured factor;
-  # on constrained runners (the reference container is single-core) the
-  # check is meaningless and skips itself.
-  smoke_json="$smoke_dir/BENCH_e11_gateway.json"
-  json_num() { sed -n "s/^[[:space:]]*\"$1\":[[:space:]]*\([0-9.]*\).*/\1/p" "$smoke_json" | head -n1; }
-  hw_threads="$(json_num hw_threads)"
-  scale_threads="$(json_num scale_threads)"
-  scale_ratio="$(json_num scale_ratio)"
+  smoke_bench gateway-smoke bench_e11_gateway BTCFAST_GATEWAY_SMOKE=1
+  smoke_json="$bindir/gateway-smoke/BENCH_e11_gateway.json"
+  hw_threads="$(json_field "$smoke_json" hw_threads)"
+  scale_threads="$(json_field "$smoke_json" scale_threads)"
+  scale_ratio="$(json_field "$smoke_json" scale_ratio)"
   scale_factor="${BTCFAST_GATEWAY_SCALE_FACTOR:-3}"
   if [[ -n "${BTCFAST_SKIP_SCALE_CHECK:-}" ]]; then
     echo "== gateway scaling check: skipped (BTCFAST_SKIP_SCALE_CHECK) =="
   elif [[ -z "$hw_threads" || -z "$scale_ratio" || -z "$scale_threads" ]]; then
-    echo "== gateway scaling check: FAILED to parse $smoke_json =="
-    exit 1
+    fail "gateway scaling check" "cannot parse $smoke_json"
   elif awk -v h="$hw_threads" -v t="$scale_threads" 'BEGIN{exit !(h < t)}'; then
     echo "== gateway scaling check: skipped (${hw_threads} hardware threads < ${scale_threads} bench threads) =="
   elif awk -v r="$scale_ratio" -v f="$scale_factor" 'BEGIN{exit !(r >= f)}'; then
@@ -222,184 +184,76 @@ if [[ "$gateway_smoke" == 1 ]]; then
     echo "   (override the floor with BTCFAST_GATEWAY_SCALE_FACTOR or skip with BTCFAST_SKIP_SCALE_CHECK)"
     exit 1
   fi
-  for san in asan ubsan; do
-    echo "== gateway tests + wire fuzz under $san =="
-    cmake --preset "$san"
-    cmake --build --preset "$san" -j "$jobs" --target gateway_test fuzz_test
-    "build-$san/tests/gateway_test"
-    BTCFAST_FUZZ_ITERS=2000 "build-$san/tests/fuzz_test" \
-      --gtest_filter='*ParserFuzz*'
-  done
-  echo "== gateway smoke: clean =="
 fi
 
 if [[ "$store_smoke" == 1 ]]; then
-  # The durability gate: crash-consistency and corruption handling are
-  # exactly where latent memory bugs hide (torn buffers, partial reads),
-  # so the whole store suite runs under both memory sanitizers — the
-  # FaultFile crash-shim tests, byte-exact recovery at every crash point,
-  # and the WAL/snapshot corruption fuzz corpus at its promoted budget.
   echo "== store smoke bench (${bindir}) =="
-  cmake --build --preset "$preset" -j "$jobs" --target bench_e12_durability
-  smoke_dir="$bindir/store-smoke"
-  mkdir -p "$smoke_dir"
-  repo_root="$PWD"
-  (cd "$smoke_dir" && BTCFAST_DURABILITY_SMOKE=1 "$repo_root/$bindir/bench/bench_e12_durability")
-  for san in asan ubsan; do
-    echo "== store recovery + fault suite under $san =="
-    cmake --preset "$san"
-    cmake --build --preset "$san" -j "$jobs" --target store_test fuzz_test
-    "build-$san/tests/store_test"
-    BTCFAST_FUZZ_ITERS=2000 "build-$san/tests/fuzz_test" \
-      --gtest_filter='*ParserFuzz*:*StoreFuzz*'
-  done
+  smoke_bench store-smoke bench_e12_durability BTCFAST_DURABILITY_SMOKE=1
   echo "== store smoke: clean =="
 fi
 
 if [[ "$net_smoke" == 1 ]]; then
-  # The TCP front-end gate. Socket code is where lifetime bugs hide
-  # (buffers freed while epoll still references the fd, short reads into
-  # stale spans), so the whole torture suite plus the reassembly fuzz
-  # corpus runs under both memory sanitizers first. Then the fork-based
-  # loopback bench runs short in the default tree: real TCP clients, real
-  # bans, real sheds — and the smoke JSON must show a nonzero accept rate
-  # with every coverage invariant intact.
-  for san in asan ubsan; do
-    echo "== net torture suite + reassembly fuzz under $san =="
-    cmake --preset "$san"
-    cmake --build --preset "$san" -j "$jobs" --target net_test fuzz_test
-    "build-$san/tests/net_test"
-    BTCFAST_FUZZ_ITERS=2000 "build-$san/tests/fuzz_test" \
-      --gtest_filter='*NetFuzz*'
-  done
+  # Real TCP clients, real bans, real sheds — and the smoke JSON must
+  # show a nonzero accept rate with every coverage invariant intact.
   echo "== net smoke bench (${bindir}) =="
-  cmake --build --preset "$preset" -j "$jobs" --target bench_e13_network
-  smoke_dir="$bindir/net-smoke"
-  mkdir -p "$smoke_dir"
-  repo_root="$PWD"
-  (cd "$smoke_dir" && BTCFAST_E13_SMOKE=1 "$repo_root/$bindir/bench/bench_e13_network")
-  smoke_json="$smoke_dir/BENCH_e13_network.json"
-  json_field() { sed -n "s/^[[:space:]]*\"$1\":[[:space:]]*\"\{0,1\}\([0-9.a-z]*\)\"\{0,1\}.*/\1/p" "$smoke_json" | head -n1; }
-  accepts_s="$(json_field accepts_per_s)"
-  coverage="$(json_field coverage_ok)"
-  if [[ -z "$accepts_s" || -z "$coverage" ]]; then
-    echo "== net smoke: FAILED to parse $smoke_json =="
-    exit 1
-  elif [[ "$coverage" != "yes" ]]; then
-    echo "== net smoke: FAILED — coverage_ok=$coverage =="
-    exit 1
-  elif awk -v a="$accepts_s" 'BEGIN{exit !(a > 0)}'; then
-    echo "== net smoke: ${accepts_s} accepts/s over loopback, coverage intact =="
-  else
-    echo "== net smoke: FAILED — accepts_per_s=$accepts_s =="
-    exit 1
-  fi
+  smoke_bench net-smoke bench_e13_network BTCFAST_E13_SMOKE=1
+  smoke_json="$bindir/net-smoke/BENCH_e13_network.json"
+  accepts_s="$(json_field "$smoke_json" accepts_per_s)"
+  coverage="$(json_field "$smoke_json" coverage_ok)"
+  [[ -n "$accepts_s" && -n "$coverage" ]] || fail "net smoke" "cannot parse $smoke_json"
+  [[ "$coverage" == yes ]] || fail "net smoke" "coverage_ok=$coverage"
+  positive "$accepts_s" || fail "net smoke" "accepts_per_s=$accepts_s"
+  echo "== net smoke: ${accepts_s} accepts/s over loopback, coverage intact =="
 fi
 
 if [[ "$dispute_smoke" == 1 ]]; then
-  # The dispute-storm gate. The storm engine's whole value rests on a
-  # byte-parity claim (batch == one-at-a-time), and the index/sync code
-  # chews on adversarial evidence bytes, so the full dispute suite plus
-  # the dispute fuzz corpus runs under both memory sanitizers first. Then
-  # the storm bench runs short in the default tree and its smoke JSON
-  # must show real throughput, real dedup, and exact gas parity.
-  for san in asan ubsan; do
-    echo "== dispute parity suite + dispute fuzz under $san =="
-    cmake --preset "$san"
-    cmake --build --preset "$san" -j "$jobs" --target dispute_test fuzz_test
-    "build-$san/tests/dispute_test"
-    BTCFAST_FUZZ_ITERS=2000 "build-$san/tests/fuzz_test" \
-      --gtest_filter='*DisputeFuzz*'
-  done
+  # The storm engine's whole value rests on a byte-parity claim (batch ==
+  # one-at-a-time): the smoke JSON must show real throughput, real dedup,
+  # and exact gas parity.
   echo "== dispute smoke bench (${bindir}) =="
-  cmake --build --preset "$preset" -j "$jobs" --target bench_e14_dispute_storm
-  smoke_dir="$bindir/dispute-smoke"
-  mkdir -p "$smoke_dir"
-  repo_root="$PWD"
-  (cd "$smoke_dir" && BTCFAST_E14_SMOKE=1 "$repo_root/$bindir/bench/bench_e14_dispute_storm")
-  smoke_json="$smoke_dir/BENCH_e14_dispute_storm.json"
-  json_field() { sed -n "s/^[[:space:]]*\"$1\":[[:space:]]*\"\{0,1\}\([0-9.a-z]*\)\"\{0,1\}.*/\1/p" "$smoke_json" | head -n1; }
-  storm_rate="$(json_field disputes_per_s_storm)"
-  hit_rate="$(json_field dedup_hit_rate)"
-  gas_parity="$(json_field gas_parity)"
-  if [[ -z "$storm_rate" || -z "$hit_rate" || -z "$gas_parity" ]]; then
-    echo "== dispute smoke: FAILED to parse $smoke_json =="
-    exit 1
-  elif [[ "$gas_parity" != "yes" ]]; then
-    echo "== dispute smoke: FAILED — gas_parity=$gas_parity =="
-    exit 1
-  elif ! awk -v r="$storm_rate" 'BEGIN{exit !(r > 0)}'; then
-    echo "== dispute smoke: FAILED — disputes_per_s_storm=$storm_rate =="
-    exit 1
-  elif ! awk -v h="$hit_rate" 'BEGIN{exit !(h > 0)}'; then
-    echo "== dispute smoke: FAILED — dedup_hit_rate=$hit_rate =="
-    exit 1
-  else
-    echo "== dispute smoke: ${storm_rate} disputes/s, dedup hit rate ${hit_rate}, gas parity exact =="
-  fi
+  smoke_bench dispute-smoke bench_e14_dispute_storm BTCFAST_E14_SMOKE=1
+  smoke_json="$bindir/dispute-smoke/BENCH_e14_dispute_storm.json"
+  storm_rate="$(json_field "$smoke_json" disputes_per_s_storm)"
+  hit_rate="$(json_field "$smoke_json" dedup_hit_rate)"
+  gas_parity="$(json_field "$smoke_json" gas_parity)"
+  [[ -n "$storm_rate" && -n "$hit_rate" && -n "$gas_parity" ]] ||
+    fail "dispute smoke" "cannot parse $smoke_json"
+  [[ "$gas_parity" == yes ]] || fail "dispute smoke" "gas_parity=$gas_parity"
+  positive "$storm_rate" || fail "dispute smoke" "disputes_per_s_storm=$storm_rate"
+  positive "$hit_rate" || fail "dispute smoke" "dedup_hit_rate=$hit_rate"
+  echo "== dispute smoke: ${storm_rate} disputes/s, dedup hit rate ${hit_rate}, gas parity exact =="
 fi
 
 if [[ "$replication_smoke" == 1 ]]; then
-  # The replication gate. Promotion correctness is a byte-exactness claim
-  # (the promoted image must equal a replay of the primary's acked
-  # prefix), and the follower's fail-closed paths chew on adversarial
-  # batch bytes, so the whole replication suite runs under both memory
-  # sanitizers first. Then the bench runs short in the default tree and
-  # its smoke JSON must show quorum-gated acks actually flowing and an
-  # exact failover.
-  for san in asan ubsan; do
-    echo "== replication suite under $san =="
-    cmake --preset "$san"
-    cmake --build --preset "$san" -j "$jobs" --target replication_test
-    "build-$san/tests/replication_test"
-  done
+  # Promotion correctness is a byte-exactness claim: the smoke JSON must
+  # show quorum-gated acks actually flowing and an exact failover.
   echo "== replication smoke bench (${bindir}) =="
-  cmake --build --preset "$preset" -j "$jobs" --target bench_e15_replication
-  smoke_dir="$bindir/replication-smoke"
-  mkdir -p "$smoke_dir"
-  repo_root="$PWD"
-  (cd "$smoke_dir" && BTCFAST_E15_SMOKE=1 "$repo_root/$bindir/bench/bench_e15_replication")
-  smoke_json="$smoke_dir/BENCH_e15_replication.json"
-  json_field() { sed -n "s/^[[:space:]]*\"$1\":[[:space:]]*\"\{0,1\}\([0-9.a-z]*\)\"\{0,1\}.*/\1/p" "$smoke_json" | head -n1; }
-  quorum_acks="$(json_field quorum_gated_acks)"
-  failover_exact="$(json_field failover_exact)"
-  catchup_rate="$(json_field catchup_records_per_s)"
-  if [[ -z "$quorum_acks" || -z "$failover_exact" || -z "$catchup_rate" ]]; then
-    echo "== replication smoke: FAILED to parse $smoke_json =="
-    exit 1
-  elif [[ "$failover_exact" != "yes" ]]; then
-    echo "== replication smoke: FAILED — failover_exact=$failover_exact =="
-    exit 1
-  elif ! awk -v q="$quorum_acks" 'BEGIN{exit !(q > 0)}'; then
-    echo "== replication smoke: FAILED — quorum_gated_acks=$quorum_acks =="
-    exit 1
-  elif ! awk -v c="$catchup_rate" 'BEGIN{exit !(c > 0)}'; then
-    echo "== replication smoke: FAILED — catchup_records_per_s=$catchup_rate =="
-    exit 1
-  else
-    echo "== replication smoke: ${quorum_acks} quorum-gated acks, failover byte-exact, catch-up ${catchup_rate} records/s =="
-  fi
+  smoke_bench replication-smoke bench_e15_replication BTCFAST_E15_SMOKE=1
+  smoke_json="$bindir/replication-smoke/BENCH_e15_replication.json"
+  quorum_acks="$(json_field "$smoke_json" quorum_gated_acks)"
+  failover_exact="$(json_field "$smoke_json" failover_exact)"
+  catchup_rate="$(json_field "$smoke_json" catchup_records_per_s)"
+  [[ -n "$quorum_acks" && -n "$failover_exact" && -n "$catchup_rate" ]] ||
+    fail "replication smoke" "cannot parse $smoke_json"
+  [[ "$failover_exact" == yes ]] || fail "replication smoke" "failover_exact=$failover_exact"
+  positive "$quorum_acks" || fail "replication smoke" "quorum_gated_acks=$quorum_acks"
+  positive "$catchup_rate" || fail "replication smoke" "catchup_records_per_s=$catchup_rate"
+  echo "== replication smoke: ${quorum_acks} quorum-gated acks, failover byte-exact, catch-up ${catchup_rate} records/s =="
 fi
 
 if [[ "$verify_smoke" == 1 ]]; then
-  # The verify-speed gate: the GLV + precomp verify engine must hold its
-  # speedup over the frozen shamir baseline. Ratios are load-resilient
-  # (both sides run on the same machine in the same process), so they are
-  # always enforced; the absolute microsecond budget only applies when
-  # the caller pins one via BTCFAST_VERIFY_BUDGET_US.
+  # The GLV + precomp verify engine must hold its speedup over the frozen
+  # shamir baseline. Ratios are load-resilient (both sides run on the
+  # same machine in the same process), so they are always enforced; the
+  # absolute microsecond budget only applies when the caller pins one
+  # via BTCFAST_VERIFY_BUDGET_US.
   echo "== verify smoke (${bindir}) =="
-  cmake --build --preset "$preset" -j "$jobs" --target bench_micro_crypto
-  smoke_dir="$bindir/verify-smoke"
-  mkdir -p "$smoke_dir"
-  repo_root="$PWD"
-  (cd "$smoke_dir" && BTCFAST_VERIFY_SMOKE=1 "$repo_root/$bindir/bench/bench_micro_crypto")
+  smoke_bench verify-smoke bench_micro_crypto BTCFAST_VERIFY_SMOKE=1
   echo "== verify smoke: clean =="
 fi
 
 if [[ "$scenario_fuzz" == 1 ]]; then
   echo "== scenario fuzz (${scenario_seeds} seeds, ${bindir}) =="
-  cmake --preset "$preset"
-  cmake --build --preset "$preset" -j "$jobs" --target fuzz_scenario_test
   # On a violation the gtest batch prints the repro line + minimized trace
   # and exits nonzero, which fails the script via `set -e`.
   BTCFAST_SCENARIO_SEEDS="$scenario_seeds" \

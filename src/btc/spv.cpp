@@ -85,20 +85,21 @@ Bytes serialize_headers(const std::vector<BlockHeader>& headers) {
   return std::move(w).take();
 }
 
+std::optional<ByteSpan> header_run(ByteSpan framed) {
+  Reader r(framed);
+  const auto count = r.varint();
+  if (!count || *count != r.remaining() / 80 || r.remaining() % 80 != 0) return std::nullopt;
+  return framed.last(r.remaining());
+}
+
 std::optional<std::vector<BlockHeader>> deserialize_headers(ByteSpan data) {
-  Reader r(data);
-  auto count = r.varint();
-  if (!count || *count > 100000) return std::nullopt;
+  const auto run = header_run(data);
+  if (!run) return std::nullopt;
   std::vector<BlockHeader> out;
-  out.reserve(static_cast<std::size_t>(*count));
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    auto bytes = r.bytes(80);
-    if (!bytes) return std::nullopt;
-    auto h = BlockHeader::deserialize(*bytes);
-    if (!h) return std::nullopt;
-    out.push_back(*h);
+  out.reserve(run->size() / 80);
+  for (std::size_t at = 0; at < run->size(); at += 80) {
+    out.push_back(*BlockHeader::deserialize(run->subspan(at, 80)));  // any 80 bytes decode
   }
-  if (!r.at_end()) return std::nullopt;
   return out;
 }
 

@@ -47,8 +47,14 @@ struct HeaderChainSummary {
     const BlockHash& anchor, const std::vector<BlockHeader>& headers,
     const crypto::U256& pow_limit);
 
-/// Serialization for shipping header chains as dispute evidence.
+/// Serialization for shipping header chains as dispute evidence: a
+/// varint count, then exactly count x 80 raw header bytes.
 [[nodiscard]] Bytes serialize_headers(const std::vector<BlockHeader>& headers);
+/// The one parser of that framing: a view of the 80-byte-per-header run
+/// inside `framed` (count = size / 80), or nullopt unless the count is
+/// followed by exactly count x 80 bytes with nothing after them. Caps on
+/// the count are the caller's.
+[[nodiscard]] std::optional<ByteSpan> header_run(ByteSpan framed);
 [[nodiscard]] std::optional<std::vector<BlockHeader>> deserialize_headers(ByteSpan data);
 
 }  // namespace btcfast::btc

@@ -404,7 +404,7 @@ Result<btc::HeaderChainSummary> PayJudger::verify_evidence_chain(
 Status PayJudger::submit_merchant_evidence(psc::HostContext& host, ByteSpan args) {
   Reader r(args);
   auto id = r.u64le();
-  auto headers_bytes = r.bytes_with_len(1 << 20);
+  auto headers_bytes = r.span_with_len(1 << 20);
   if (!id || !headers_bytes || !r.at_end()) return make_error("bad-args");
 
   const Slot state = host.sload(field_slot(host, Field::kState, *id));
@@ -436,7 +436,7 @@ Status PayJudger::submit_merchant_evidence(psc::HostContext& host, ByteSpan args
 Status PayJudger::submit_customer_evidence(psc::HostContext& host, ByteSpan args) {
   Reader r(args);
   auto id = r.u64le();
-  auto headers_bytes = r.bytes_with_len(1 << 20);
+  auto headers_bytes = r.span_with_len(1 << 20);
   auto proof_bytes = r.bytes_with_len(1 << 16);
   auto header_index = r.u32le();
   if (!id || !headers_bytes || !proof_bytes || !header_index || !r.at_end()) {
@@ -570,7 +570,7 @@ Status PayJudger::judge(psc::HostContext& host, ByteSpan args) {
 
 Status PayJudger::update_checkpoint(psc::HostContext& host, ByteSpan args) {
   Reader r(args);
-  auto headers_bytes = r.bytes_with_len(1 << 20);
+  auto headers_bytes = r.span_with_len(1 << 20);
   if (!headers_bytes || !r.at_end()) return make_error("bad-args");
 
   auto headers = btc::deserialize_headers(*headers_bytes);

@@ -1,11 +1,12 @@
 #include "common/log.h"
 
+#include <atomic>
 #include <cstdio>
 
 namespace btcfast {
 namespace {
 
-LogLevel g_level = LogLevel::kOff;
+std::atomic<LogLevel> g_level{LogLevel::kOff};
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -21,12 +22,12 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
+void set_log_level(LogLevel level) { g_level.store(level); }
 
-LogLevel log_level() { return g_level; }
+LogLevel log_level() { return g_level.load(); }
 
 void log_line(LogLevel level, const std::string& component, const std::string& message) {
-  if (level < g_level) return;
+  if (!log_enabled(level)) return;
   std::fprintf(stderr, "[%s] %-10s %s\n", level_name(level), component.c_str(), message.c_str());
 }
 

@@ -9,9 +9,10 @@ namespace btcfast {
 
 enum class LogLevel { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError = 4, kOff = 5 };
 
-/// Global log threshold (process-wide; the simulator is single-threaded).
+/// Global log threshold (process-wide; safe to read and set from any thread).
 void set_log_level(LogLevel level);
 [[nodiscard]] LogLevel log_level();
+[[nodiscard]] inline bool log_enabled(LogLevel level) { return level >= log_level(); }
 
 /// Emit one line at the given level (no-op if below the threshold).
 void log_line(LogLevel level, const std::string& component, const std::string& message);
@@ -38,6 +39,15 @@ class LogStream {
   std::ostringstream os_;
 };
 
+/// Swallows a finished LogStream expression so the macro below is a
+/// well-formed void ternary (binds looser than <<, tighter than ?:).
+struct LogVoidify {
+  void operator&(const LogStream&) const noexcept {}
+};
+
 }  // namespace btcfast
 
-#define BTCFAST_LOG(level, component) ::btcfast::LogStream((level), (component))
+/// Below the threshold neither the stream nor its operands are evaluated.
+#define BTCFAST_LOG(level, component)                  \
+  !::btcfast::log_enabled(level) ? static_cast<void>(0) \
+                                 : ::btcfast::LogVoidify() & ::btcfast::LogStream((level), (component))

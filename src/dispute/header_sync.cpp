@@ -97,8 +97,11 @@ SyncResult HeaderSyncManager::accept_headers(const std::vector<btc::BlockHeader>
       ++result.orphaned;
       continue;
     }
+    // A header-only tree cannot validate retarget transitions without the
+    // whole period; under static difficulty the bits must match exactly.
     const auto target = btc::bits_to_target(h.bits);
     if (!target || *target > params_.pow_limit ||
+        (params_.retarget_interval == 0 && h.bits != params_.genesis_bits) ||
         !btc::check_proof_of_work(h, params_.pow_limit)) {
       ++result.rejected;
       ++stats_.headers_rejected;
@@ -157,6 +160,24 @@ std::size_t HeaderSyncManager::restore(const store::StateImage& image) {
   const SyncResult r = accept_headers(batch);
   store_ = saved;
   return r.connected;
+}
+
+Status HeaderSyncManager::submit_proof(const btc::TxInclusionProof& proof) {
+  const auto watch_it = watched_.find(proof.txid);
+  if (watch_it == watched_.end()) return make_error("spv-not-watching");
+  const btc::BlockHash block_hash = proof.header.hash();
+  if (!index_.contains(block_hash)) {
+    return make_error("spv-unknown-header", "sync headers before proving");
+  }
+  if (!btc::verify_inclusion_proof(proof)) return make_error("spv-bad-proof");
+  watch_it->second = block_hash;
+  return Status::success();
+}
+
+std::uint32_t HeaderSyncManager::confirmations(const btc::Txid& txid) const {
+  const auto it = watched_.find(txid);
+  if (it == watched_.end() || !on_best_chain(it->second)) return 0;
+  return tip_height() - index_.at(it->second).height + 1;
 }
 
 std::vector<btc::BlockHash> HeaderSyncManager::locator() const {

@@ -1,20 +1,21 @@
-// Reorg-aware header-sync manager for the watchtower (DESIGN.md §14).
+// The light client's header tree (DESIGN.md §14): the one header-only
+// view of Bitcoin in the repo, for the watchtower and for any device that
+// can't run a full node (a merchant's point-of-sale terminal).
 //
-// The watchtower's defenses are only as good as its view of the Bitcoin
-// header chain. HeaderSyncManager maintains a standalone header tree —
-// every valid header it has ever seen, not just the active spine — so it
-// can (a) catch up from its Bitcoin node with exponentially-spaced block
+// HeaderSyncManager keeps every valid header it has ever seen, not just
+// the active spine. PoW is checked per header against the chain's
+// pow_limit (and, under static difficulty, the exact genesis bits);
+// cumulative work decides the best tip; parent links stay queryable,
+// which is what reorg *depth* accounting needs. On that tree it can
+// (a) catch up from its Bitcoin node with exponentially-spaced block
 // locators (the P2P getheaders idiom), (b) follow the heaviest chain
 // across reorgs while *measuring* them, refusing any reorg deeper than
-// the consensus bound `Chain::max_reorg_depth`, and (c) mint checkpoint
+// the consensus bound `Chain::max_reorg_depth`, (c) mint checkpoint
 // advancement chains for `PayJudger::updateCheckpoint` so dispute
 // anchors stay fresh without ever feeding the contract a header that
-// later reorgs out.
-//
-// The tree is header-only (SpvClient-style): PoW is checked per header
-// against the chain's pow_limit, cumulative work decides the best tip.
-// Unlike SpvClient it keeps parent links queryable, which is what reorg
-// *depth* accounting needs.
+// later reorgs out, and (d) watch txids and count their confirmations
+// from Merkle inclusion proofs — exactly the trust model PayJudger
+// itself uses.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,9 @@
 #include "btc/chain.h"
 #include "btc/header.h"
 #include "btc/params.h"
+#include "btc/spv.h"
 #include "btcfast/dispute_hooks.h"
+#include "common/result.h"
 
 namespace btcfast::store {
 class DurableStore;
@@ -39,7 +42,7 @@ struct SyncResult {
   std::size_t connected = 0;       ///< headers appended to the tree
   std::size_t known = 0;           ///< duplicates we already had
   std::size_t orphaned = 0;        ///< parent unknown (caller should widen the locator)
-  std::size_t rejected = 0;        ///< bad PoW / bad target
+  std::size_t rejected = 0;        ///< bad PoW / bad target / bad static bits
   std::uint32_t reorg_depth = 0;   ///< blocks disconnected from the old best tip
   bool reorg_refused = false;      ///< a heavier branch exceeded max_reorg_depth
 };
@@ -110,6 +113,19 @@ class HeaderSyncManager final : public core::CheckpointSource {
   /// Best-chain header at `height`.
   [[nodiscard]] std::optional<btc::BlockHeader> header_at(std::uint32_t height) const;
 
+  // --- tx watching via SPV proofs ---
+  void watch(const btc::Txid& txid) { watched_.try_emplace(txid); }
+  [[nodiscard]] bool is_watching(const btc::Txid& txid) const { return watched_.contains(txid); }
+  /// Accept an inclusion proof for a watched txid (spv-not-watching
+  /// otherwise). The proving header must already be in the tree
+  /// (spv-unknown-header), on any branch: a proof on a side branch counts
+  /// once that branch wins. A branch that does not reach the header's
+  /// merkle root is spv-bad-proof.
+  Status submit_proof(const btc::TxInclusionProof& proof);
+  /// Confirmations of a watched txid on the best chain: 0 if no proof was
+  /// accepted or its block is off the best chain (reorged away).
+  [[nodiscard]] std::uint32_t confirmations(const btc::Txid& txid) const;
+
   // --- checkpoint advancement ---
   /// Contiguous best-chain headers (anchor, tip_height - checkpoint_lag]
   /// starting just after `current_checkpoint`, capped at
@@ -155,6 +171,8 @@ class HeaderSyncManager final : public core::CheckpointSource {
   btc::BlockHash best_tip_{};
   SyncStats stats_;
   store::DurableStore* store_ = nullptr;
+  /// watched txid -> block hash of its accepted proof (zero hash = none).
+  std::unordered_map<btc::Txid, btc::BlockHash, btc::Hash256Hasher> watched_;
 };
 
 /// Locator wire codec (watchtower <-> node catch-up messages): u16le

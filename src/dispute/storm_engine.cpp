@@ -58,13 +58,10 @@ std::size_t StormEngine::scan_tx_headers(const psc::PscTx& tx, std::size_t max_h
   // junk: a chain that fails to decode, or that exceeds the contract's
   // header cap (which the contract rejects before hashing), adds nothing.
   const ByteSpan raw = scan_tx_header_span(tx, max_headers);
-  const std::size_t n = raw.size() / 80;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto h = btc::BlockHeader::deserialize(raw.subspan(i * 80, 80));
-    if (!h) return 0;  // unreachable: any 80 bytes decode
-    out->push_back(*h);
+  for (std::size_t at = 0; at < raw.size(); at += 80) {
+    out->push_back(*btc::BlockHeader::deserialize(raw.subspan(at, 80)));  // any 80 bytes decode
   }
-  return n;
+  return raw.size() / 80;
 }
 
 ByteSpan StormEngine::scan_tx_header_span(const psc::PscTx& tx, std::size_t max_headers) {
@@ -79,14 +76,10 @@ ByteSpan StormEngine::scan_tx_header_span(const psc::PscTx& tx, std::size_t max_
     return {};
   }
   if (!headers_bytes) return {};
-  // Inside: deserialize_headers framing — varint count, then `count` raw
-  // 80-byte headers, nothing trailing.
-  Reader h(*headers_bytes);
-  const auto count = h.varint();
-  if (!count || *count == 0 || *count > max_headers) return {};
-  const std::size_t body = static_cast<std::size_t>(*count) * 80;
-  if (h.remaining() != body) return {};
-  return headers_bytes->last(body);
+  // Inside: the contract's own header-run parser; the cap is the scan's.
+  const auto run = btc::header_run(*headers_bytes);
+  if (!run || run->size() / 80 > max_headers) return {};
+  return *run;
 }
 
 std::size_t StormEngine::sweep_batch(const std::vector<psc::PscTx>& txs) {

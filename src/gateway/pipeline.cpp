@@ -83,7 +83,7 @@ void Gateway::sync_store_stats() {
 
 bool Gateway::restore_from(const store::StateImage& image) {
   // Every reservation is an acked payment: its hold, its merchant book
-  // entry and its settle-release mapping come back together.
+  // entry and its settle-release mapping come back together, in id order.
   bool ok = true;
   for (const auto& r : image.reservations) {
     Shard& sh = shard_for(r.escrow_id);

@@ -198,17 +198,6 @@ class Gateway {
                                  disconnects);
   }
 
-  /// Mirror the replication group's gauges into the stats JSON (same
-  /// gauge pattern as the net metrics; the deployment driver calls this
-  /// after pumping the group).
-  void set_replication_metrics(std::uint64_t epoch, std::uint64_t followers,
-                               std::uint64_t quorum, std::uint64_t acked_seq,
-                               std::uint64_t batches_shipped, std::uint64_t ship_failures,
-                               std::uint64_t snapshot_installs) noexcept {
-    front_stats_.set_replication_metrics(epoch, followers, quorum, acked_seq, batches_shipped,
-                                         ship_failures, snapshot_installs);
-  }
-
  private:
   struct Accepted {
     core::FastPayPackage package;

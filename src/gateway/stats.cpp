@@ -1,7 +1,6 @@
 #include "gateway/stats.h"
 
 #include <bit>
-#include <cstdio>
 #include <sstream>
 
 namespace btcfast::gateway {
@@ -109,13 +108,6 @@ void GatewayStats::accumulate(const GatewayStats& other) noexcept {
   take_max(net_frames_in_, other.net_frames_in());
   take_max(net_sheds_seen_, other.net_sheds_seen());
   take_max(net_disconnects_, other.net_disconnects());
-  take_max(repl_epoch_, other.repl_epoch());
-  take_max(repl_followers_, other.repl_followers());
-  take_max(repl_quorum_, other.repl_quorum());
-  take_max(repl_acked_seq_, other.repl_acked_seq());
-  take_max(repl_batches_shipped_, other.repl_batches_shipped());
-  take_max(repl_ship_failures_, other.repl_ship_failures());
-  take_max(repl_snapshot_installs_, other.repl_snapshot_installs());
   latency_.accumulate(other.latency_);
   for (std::size_t i = 0; i < kStageCount; ++i) stages_[i].accumulate(other.stages_[i]);
 }
@@ -192,15 +184,6 @@ std::string GatewayStats::to_json() const {
   os << "    \"sheds_seen\": " << net_sheds_seen() << ",\n";
   os << "    \"disconnects\": " << net_disconnects() << "\n";
   os << "  },\n";
-  os << "  \"replication\": {\n";
-  os << "    \"epoch\": " << repl_epoch() << ",\n";
-  os << "    \"followers\": " << repl_followers() << ",\n";
-  os << "    \"quorum\": " << repl_quorum() << ",\n";
-  os << "    \"acked_seq\": " << repl_acked_seq() << ",\n";
-  os << "    \"batches_shipped\": " << repl_batches_shipped() << ",\n";
-  os << "    \"ship_failures\": " << repl_ship_failures() << ",\n";
-  os << "    \"snapshot_installs\": " << repl_snapshot_installs() << "\n";
-  os << "  },\n";
   os << "  \"latency_us\": {\n";
   os << "    \"count\": " << latency_.count() << ",\n";
   os << "    \"mean\": " << latency_.mean_us() << ",\n";
@@ -221,20 +204,6 @@ std::string GatewayStats::to_json() const {
   return os.str();
 }
 
-bool GatewayStats::write_json(const std::string& path) const {
-  const std::string body = to_json();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) return false;
-  const bool wrote = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
 void GatewayStats::reset() noexcept {
   accepts_.store(0, std::memory_order_relaxed);
   rejects_.store(0, std::memory_order_relaxed);
@@ -248,7 +217,6 @@ void GatewayStats::reset() noexcept {
   store_snapshot_bytes_.store(0, std::memory_order_relaxed);
   set_cache_metrics(0, 0, 0, 0, 0, 0, 0, 0);
   set_net_metrics(0, 0, 0, 0, 0, 0);
-  set_replication_metrics(0, 0, 0, 0, 0, 0, 0);
   latency_.reset();
   for (auto& s : stages_) s.reset();
 }

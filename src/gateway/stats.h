@@ -212,50 +212,9 @@ class GatewayStats {
     return net_disconnects_.load(std::memory_order_relaxed);
   }
 
-  /// Mirror the replication group's gauges (primary epoch, follower
-  /// count, quorum config, quorum-acked watermark, ship counters) into
-  /// the stats dump. Gauge slots, like the net metrics.
-  void set_replication_metrics(std::uint64_t epoch, std::uint64_t followers,
-                               std::uint64_t quorum, std::uint64_t acked_seq,
-                               std::uint64_t batches_shipped, std::uint64_t ship_failures,
-                               std::uint64_t snapshot_installs) noexcept {
-    repl_epoch_.store(epoch, std::memory_order_relaxed);
-    repl_followers_.store(followers, std::memory_order_relaxed);
-    repl_quorum_.store(quorum, std::memory_order_relaxed);
-    repl_acked_seq_.store(acked_seq, std::memory_order_relaxed);
-    repl_batches_shipped_.store(batches_shipped, std::memory_order_relaxed);
-    repl_ship_failures_.store(ship_failures, std::memory_order_relaxed);
-    repl_snapshot_installs_.store(snapshot_installs, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t repl_epoch() const noexcept {
-    return repl_epoch_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t repl_followers() const noexcept {
-    return repl_followers_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t repl_quorum() const noexcept {
-    return repl_quorum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t repl_acked_seq() const noexcept {
-    return repl_acked_seq_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t repl_batches_shipped() const noexcept {
-    return repl_batches_shipped_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t repl_ship_failures() const noexcept {
-    return repl_ship_failures_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t repl_snapshot_installs() const noexcept {
-    return repl_snapshot_installs_.load(std::memory_order_relaxed);
-  }
-
   /// One JSON object: totals, per-reason reject counts (only nonzero
   /// reasons, keyed by describe()), queue depths, latency percentiles.
   [[nodiscard]] std::string to_json() const;
-
-  /// Atomically write to_json() to `path` (temp file + rename), so a
-  /// monitoring reader never sees a torn file. Returns false on IO error.
-  bool write_json(const std::string& path) const;
 
   void reset() noexcept;
 
@@ -287,13 +246,6 @@ class GatewayStats {
   std::atomic<std::uint64_t> net_frames_in_{0};
   std::atomic<std::uint64_t> net_sheds_seen_{0};
   std::atomic<std::uint64_t> net_disconnects_{0};
-  std::atomic<std::uint64_t> repl_epoch_{0};
-  std::atomic<std::uint64_t> repl_followers_{0};
-  std::atomic<std::uint64_t> repl_quorum_{0};
-  std::atomic<std::uint64_t> repl_acked_seq_{0};
-  std::atomic<std::uint64_t> repl_batches_shipped_{0};
-  std::atomic<std::uint64_t> repl_ship_failures_{0};
-  std::atomic<std::uint64_t> repl_snapshot_installs_{0};
   LatencyHistogram latency_;
   std::array<LatencyHistogram, kStageCount> stages_;
 };

@@ -1,8 +1,9 @@
 // WAL record schemas: one record per mutating gateway/watchtower event.
 // The store layer is deliberately protocol-blind — payloads carry raw
 // ids, values, 32-byte txids and opaque serialized blobs, never core
-// protocol structs, so btcfast_store depends only on btcfast_common and
-// both the gateway and the core (watchtower/orchestrator) can link it.
+// protocol structs, so btcfast_store depends only on btcfast_common (and
+// btcfast_btc's header-run framing for the header log) and both the
+// gateway and the core (watchtower/orchestrator) can link it.
 // Protocol-aware layers encode/decode the opaque fields.
 #pragma once
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "btc/spv.h"
 #include "common/serialize.h"
 #include "store/crc32c.h"
 
@@ -28,14 +29,19 @@ bool read_txid(Reader& r, ByteArray<32>& out) {
   return true;
 }
 
+/// First reservation with id >= `id` (the vector is held in id order).
+std::vector<ReservationImage>::iterator find_reservation(StateImage& image, ReservationId id) {
+  return std::lower_bound(
+      image.reservations.begin(), image.reservations.end(), id,
+      [](const ReservationImage& r, ReservationId want) { return r.id < want; });
+}
+
 }  // namespace
 
 Bytes StateImage::serialize() const {
-  // Canonical order: sorted copies, so logically equal images are
-  // byte-identical regardless of insertion history.
-  auto res = reservations;
-  std::sort(res.begin(), res.end(),
-            [](const ReservationImage& a, const ReservationImage& b) { return a.id < b.id; });
+  // Canonical order, so logically equal images are byte-identical
+  // regardless of insertion history: reservations are held in id order
+  // already, open disputes are sorted here.
   auto dis = open_disputes;
   std::sort(dis.begin(), dis.end(), [](const DisputeImage& a, const DisputeImage& b) {
     if (a.escrow_id != b.escrow_id) return a.escrow_id < b.escrow_id;
@@ -47,8 +53,8 @@ Bytes StateImage::serialize() const {
   w.u64le(last_seq);
   w.u64le(released_count);
   w.u64le(resolved_disputes);
-  w.varint(res.size());
-  for (const auto& r : res) {
+  w.varint(reservations.size());
+  for (const auto& r : reservations) {
     w.u64le(r.id);
     w.u64le(r.escrow_id);
     w.u64le(r.amount);
@@ -98,6 +104,8 @@ std::optional<StateImage> StateImage::deserialize(ByteSpan data) {
     auto package = r.bytes_with_len(kMaxBlob);
     auto invoice = r.bytes_with_len(kMaxBlob);
     if (!at || !package || !invoice) return std::nullopt;
+    // Ids strictly increase: a duplicate or unsorted image is corrupt.
+    if (!img.reservations.empty() && *id <= img.reservations.back().id) return std::nullopt;
     res.id = *id;
     res.escrow_id = *eid;
     res.amount = *amount;
@@ -127,26 +135,22 @@ std::optional<StateImage> StateImage::deserialize(ByteSpan data) {
   const auto epoch = r.u64le();
   if (!epoch) return std::nullopt;
   img.epoch = *epoch;
-  const auto n_hdr = r.varint();
-  if (!n_hdr || *n_hdr > kMaxEntries) return std::nullopt;
-  img.headers.reserve(static_cast<std::size_t>(*n_hdr));
-  for (std::uint64_t i = 0; i < *n_hdr; ++i) {
-    ByteArray<80> h{};
-    const auto b = r.bytes(80);
-    if (!b) return std::nullopt;
-    std::copy(b->begin(), b->end(), h.begin());
-    img.headers.push_back(h);
+  // The header log closes the body in serialize_headers framing.
+  const auto run = btc::header_run(*r.span(r.remaining()));
+  if (!run || run->size() / 80 > kMaxEntries) return std::nullopt;
+  img.headers.resize(run->size() / 80);
+  for (std::size_t i = 0; i < img.headers.size(); ++i) {
+    std::copy_n(run->begin() + static_cast<std::ptrdiff_t>(i * 80), 80, img.headers[i].begin());
   }
-
-  if (!r.at_end()) return std::nullopt;
   return img;
 }
 
 bool apply_record(StateImage& image, const StoreRecord& record, std::uint64_t seq) {
   switch (record.kind) {
     case RecordKind::kReserve: {
-      for (const auto& r : image.reservations) {
-        if (r.id == record.reservation_id) return false;  // double reserve
+      const auto at = find_reservation(image, record.reservation_id);
+      if (at != image.reservations.end() && at->id == record.reservation_id) {
+        return false;  // double reserve
       }
       ReservationImage res;
       res.id = record.reservation_id;
@@ -157,14 +161,14 @@ bool apply_record(StateImage& image, const StoreRecord& record, std::uint64_t se
       res.accepted_at_ms = record.accepted_at_ms;
       res.package = record.package;
       res.invoice = record.invoice;
-      image.reservations.push_back(std::move(res));
+      image.reservations.insert(at, std::move(res));
       break;
     }
     case RecordKind::kRelease: {
-      auto it = std::find_if(
-          image.reservations.begin(), image.reservations.end(),
-          [&](const ReservationImage& r) { return r.id == record.reservation_id; });
-      if (it == image.reservations.end()) return false;  // release of unknown id
+      const auto it = find_reservation(image, record.reservation_id);
+      if (it == image.reservations.end() || it->id != record.reservation_id) {
+        return false;  // release of unknown id
+      }
       image.reservations.erase(it);
       ++image.released_count;
       break;

@@ -55,6 +55,8 @@ struct DisputeImage {
 /// a recovered image can never diverge from the in-memory one.
 struct StateImage {
   std::uint64_t last_seq = 0;  ///< seq of the last applied record
+  /// Held sorted by id (strictly increasing): apply_record keeps it so
+  /// and deserialize() refuses any other order.
   std::vector<ReservationImage> reservations;
   std::vector<DisputeImage> open_disputes;
   // Cumulative history counters, so "byte-identical to the control run"
@@ -69,7 +71,7 @@ struct StateImage {
   /// content: restore re-accepts them sequentially).
   std::vector<ByteArray<80>> headers;
 
-  /// Canonical encoding: entries sorted by key, fixed field order.
+  /// Canonical encoding: entries in key order, fixed field order.
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] static std::optional<StateImage> deserialize(ByteSpan data);
 

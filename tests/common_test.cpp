@@ -1,8 +1,9 @@
-// Unit tests for the common kernel: hex, serialization, RNG, clock, result.
+// Unit tests for the common kernel: hex, serialization, RNG, clock, result, log.
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
 #include "common/hex.h"
+#include "common/log.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/serialize.h"
@@ -195,6 +196,21 @@ TEST(Result, StatusBehaviour) {
   Status bad = make_error("fail");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.error().code, "fail");
+}
+
+TEST(Log, DisabledLevelSkipsTheStreamOperands) {
+  int evaluated = 0;
+  const auto operand = [&] { return ++evaluated; };
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::kOff);
+  BTCFAST_LOG(LogLevel::kError, "test") << "never built " << operand();
+  EXPECT_EQ(evaluated, 0);
+  set_log_level(LogLevel::kError);
+  BTCFAST_LOG(LogLevel::kWarn, "test") << "below threshold " << operand();
+  EXPECT_EQ(evaluated, 0);
+  BTCFAST_LOG(LogLevel::kError, "test") << "at threshold " << operand();
+  EXPECT_EQ(evaluated, 1);
+  set_log_level(saved);
 }
 
 }  // namespace

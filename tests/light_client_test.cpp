@@ -1,11 +1,12 @@
-// SPV light-client tests: header sync, heaviest-chain tracking, proof
-// acceptance and reorg awareness.
+// SPV light-client tests on the header tree (dispute::HeaderSyncManager):
+// header sync, heaviest-chain tracking, proof acceptance and reorg
+// awareness.
 #include <gtest/gtest.h>
 
 #include "btc/chain.h"
-#include "btc/light_client.h"
 #include "btc/pow.h"
 #include "btcsim/scenario.h"
+#include "dispute/header_sync.h"
 
 namespace btcfast::btc {
 namespace {
@@ -33,21 +34,24 @@ struct SpvFixture : ::testing::Test {
     return b;
   }
 
+  /// Feed one header; true iff it connected to the tree.
+  bool add(const BlockHeader& header) { return client.accept_headers({header}).connected == 1; }
+
   ChainParams params;
   Chain chain;
-  SpvClient client;
+  dispute::HeaderSyncManager client;
   ScriptPubKey dest;
 };
 
 TEST_F(SpvFixture, StartsAtSharedGenesis) {
-  EXPECT_EQ(client.height(), 0u);
+  EXPECT_EQ(client.tip_height(), 0u);
   EXPECT_EQ(client.tip_hash(), chain.tip_hash());
 }
 
 TEST_F(SpvFixture, SyncsHeaders) {
   for (int i = 0; i < 5; ++i) mine_one(chain);
-  ASSERT_TRUE(client.add_headers(chain.header_range(1, 5)).ok());
-  EXPECT_EQ(client.height(), 5u);
+  ASSERT_EQ(client.accept_headers(chain.header_range(1, 5)).connected, 5u);
+  EXPECT_EQ(client.tip_height(), 5u);
   EXPECT_EQ(client.tip_hash(), chain.tip_hash());
 }
 
@@ -55,18 +59,26 @@ TEST_F(SpvFixture, RejectsOrphansAndFakePow) {
   Block b = mine_one(chain);
   BlockHeader orphan = b.header;
   orphan.prev_hash.bytes[0] ^= 1;
-  EXPECT_EQ(client.add_header(orphan).error().code, "spv-orphan-header");
+  EXPECT_EQ(client.accept_headers({orphan}).orphaned, 1u);
 
   BlockHeader fake = b.header;
   fake.nonce ^= 0x1234;
-  EXPECT_EQ(client.add_header(fake).error().code, "spv-bad-pow");
+  EXPECT_EQ(client.accept_headers({fake}).rejected, 1u);
+
+  // Static difficulty: valid PoW at a harder target than the genesis
+  // bits is still refused.
+  BlockHeader off_bits = b.header;
+  off_bits.bits = target_to_bits(params.pow_limit >> 1);
+  while (!check_proof_of_work(off_bits, params.pow_limit)) ++off_bits.nonce;
+  EXPECT_EQ(client.accept_headers({off_bits}).rejected, 1u);
+  EXPECT_EQ(client.tip_height(), 0u);
 }
 
 TEST_F(SpvFixture, IdempotentHeaderAdd) {
   Block b = mine_one(chain);
-  ASSERT_TRUE(client.add_header(b.header).ok());
-  EXPECT_TRUE(client.add_header(b.header).ok());
-  EXPECT_EQ(client.height(), 1u);
+  ASSERT_TRUE(add(b.header));
+  EXPECT_EQ(client.accept_headers({b.header}).known, 1u);
+  EXPECT_EQ(client.tip_height(), 1u);
 }
 
 TEST_F(SpvFixture, ProofGivesConfirmations) {
@@ -75,7 +87,7 @@ TEST_F(SpvFixture, ProofGivesConfirmations) {
   Chain funded(params);
   for (const auto& blk : sim::build_funding_chain(params, {customer.script}, 1)) {
     ASSERT_EQ(funded.submit_block(blk), SubmitResult::kActiveTip);
-    ASSERT_TRUE(client.add_header(blk.header).ok());
+    ASSERT_TRUE(add(blk.header));
   }
   const auto coins = sim::find_spendable(funded, customer.script);
   const auto payment = sim::build_payment(customer, coins[0].first,
@@ -101,7 +113,7 @@ TEST_F(SpvFixture, ProofGivesConfirmations) {
     ASSERT_EQ(funded.submit_block(b), SubmitResult::kActiveTip);
     with_tx = b;
   }
-  ASSERT_TRUE(client.add_header(with_tx.header).ok());
+  ASSERT_TRUE(add(with_tx.header));
 
   // Proof before + after depth.
   const auto proof = make_inclusion_proof(with_tx, payment.txid());
@@ -123,7 +135,7 @@ TEST_F(SpvFixture, ProofGivesConfirmations) {
     b.txs.push_back(cb);
     ASSERT_TRUE(mine_block(b, params));
     ASSERT_EQ(funded.submit_block(b), SubmitResult::kActiveTip);
-    ASSERT_TRUE(client.add_header(b.header).ok());
+    ASSERT_TRUE(add(b.header));
   }
   EXPECT_EQ(client.confirmations(payment.txid()), 4u);
 }
@@ -133,23 +145,32 @@ TEST_F(SpvFixture, ProofRequiresWatchAndKnownHeader) {
   const auto proof = make_inclusion_proof(b, b.txs[0].txid());
   ASSERT_TRUE(proof.has_value());
   // Not watching -> refused.
+  EXPECT_FALSE(client.is_watching(b.txs[0].txid()));
   EXPECT_EQ(client.submit_proof(*proof).error().code, "spv-not-watching");
   client.watch(b.txs[0].txid());
+  EXPECT_TRUE(client.is_watching(b.txs[0].txid()));
   // Header unknown -> refused.
   EXPECT_EQ(client.submit_proof(*proof).error().code, "spv-unknown-header");
-  ASSERT_TRUE(client.add_header(b.header).ok());
+  ASSERT_TRUE(add(b.header));
   EXPECT_TRUE(client.submit_proof(*proof).ok());
 }
 
 TEST_F(SpvFixture, TamperedProofRefused) {
   Block b = mine_one(chain);
   client.watch(b.txs[0].txid());
-  ASSERT_TRUE(client.add_header(b.header).ok());
+  ASSERT_TRUE(add(b.header));
   auto proof = *make_inclusion_proof(b, b.txs[0].txid());
   proof.branch.index ^= 1;
   // Single-tx block has no siblings; corrupt the root reference instead.
   proof.header.merkle_root.bytes[0] ^= 1;
   EXPECT_FALSE(client.submit_proof(proof).ok());
+
+  // A known header with a branch that does not reach its root.
+  auto wrong_leaf = *make_inclusion_proof(b, b.txs[0].txid());
+  wrong_leaf.txid.bytes[0] ^= 1;
+  client.watch(wrong_leaf.txid);
+  EXPECT_EQ(client.submit_proof(wrong_leaf).error().code, "spv-bad-proof");
+  EXPECT_EQ(client.confirmations(wrong_leaf.txid), 0u);
 }
 
 TEST_F(SpvFixture, ReorgInvalidatesConfirmations) {
@@ -157,7 +178,7 @@ TEST_F(SpvFixture, ReorgInvalidatesConfirmations) {
   // drop to zero because the proof's block left the active chain.
   Block a1 = mine_one(chain, 1);
   client.watch(a1.txs[0].txid());
-  ASSERT_TRUE(client.add_header(a1.header).ok());
+  ASSERT_TRUE(add(a1.header));
   ASSERT_TRUE(client.submit_proof(*make_inclusion_proof(a1, a1.txs[0].txid())).ok());
   EXPECT_EQ(client.confirmations(a1.txs[0].txid()), 1u);
 
@@ -165,8 +186,8 @@ TEST_F(SpvFixture, ReorgInvalidatesConfirmations) {
   Chain rival(params);
   Block b1 = mine_one(rival, 2);
   Block b2 = mine_one(rival, 3);
-  ASSERT_TRUE(client.add_header(b1.header).ok());
-  ASSERT_TRUE(client.add_header(b2.header).ok());
+  ASSERT_TRUE(add(b1.header));
+  ASSERT_TRUE(add(b2.header));
 
   EXPECT_EQ(client.tip_hash(), b2.hash());
   EXPECT_EQ(client.confirmations(a1.txs[0].txid()), 0u);
@@ -174,8 +195,8 @@ TEST_F(SpvFixture, ReorgInvalidatesConfirmations) {
   // Branch A regains the lead: confirmations return.
   Block a2 = mine_one(chain, 4);
   Block a3 = mine_one(chain, 5);
-  ASSERT_TRUE(client.add_header(a2.header).ok());
-  ASSERT_TRUE(client.add_header(a3.header).ok());
+  ASSERT_TRUE(add(a2.header));
+  ASSERT_TRUE(add(a3.header));
   EXPECT_EQ(client.confirmations(a1.txs[0].txid()), 3u);
 }
 

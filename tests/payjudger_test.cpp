@@ -600,6 +600,68 @@ TEST_F(JudgerFixture, DisputeAfterWithdrawalRejected) {
   EXPECT_EQ(view()->collateral, 0u);
 }
 
+TEST_F(JudgerFixture, MalformedHeaderFramingRevertsExactly) {
+  // Every method that carries a header run reverts on malformed framing
+  // with one fixed reason at one fixed gas: framing is checked after the
+  // argument layout and the dispute state, before any header is hashed.
+  ASSERT_TRUE(deposit().success);
+  ASSERT_TRUE(open_dispute(make_binding(40'000, 10 * kHour), kHour).success);
+
+  const auto framed = [](std::uint64_t count, std::size_t body_bytes) {
+    Writer w;
+    w.varint(count);
+    w.bytes(Bytes(body_bytes, 0x5a));
+    return std::move(w).take();
+  };
+  enum Outer { kExact, kOverrun, kTrailingArg };
+  struct Case {
+    const char* name;
+    Bytes blob;
+    Outer outer;
+    const char* reason;
+    psc::Gas gas[3];  ///< merchant evidence, customer evidence, checkpoint
+  };
+  const Case cases[] = {
+      {"count 0", framed(0, 0), kExact, "evidence-empty", {24068, 26386, 22136}},
+      {"count 145", framed(145, 145 * 80), kExact, "evidence-too-long: max 144 headers",
+       {244506, 246824, 242574}},
+      {"short body", framed(3, 3 * 80 - 1), kExact, "bad-headers-encoding", {27767, 30085, 25835}},
+      {"trailing byte", framed(1, 81), kExact, "bad-headers-encoding", {24765, 27083, 22833}},
+      {"bad outer length", framed(1, 80), kOverrun, "bad-args", {23138, 25456, 22890}},
+      {"trailing argument", framed(1, 80), kTrailingArg, "bad-args", {23081, 25399, 22833}},
+  };
+  const Bytes proof = btc::TxInclusionProof{}.serialize();  // decodes fine
+  const char* methods[] = {"submitMerchantEvidence", "submitCustomerEvidence",
+                           "updateCheckpoint"};
+  for (const Case& c : cases) {
+    for (std::size_t m = 0; m < 3; ++m) {
+      Writer w;
+      if (m != 2) w.u64le(1);
+      if (c.outer == kOverrun) {
+        w.varint(1 << 20);  // within the cap, past the end of the args
+        w.bytes(c.blob);
+      } else {
+        w.bytes_with_len(c.blob);
+      }
+      if (m == 1) {
+        w.bytes_with_len(proof);
+        w.u32le(0);
+      }
+      if (c.outer == kTrailingArg) w.u8(0);
+      psc::PscTx tx;
+      tx.from = merchant_psc;
+      tx.to = judger;
+      tx.method = methods[m];
+      tx.args = std::move(w).take();
+      tx.gas_limit = 8'000'000;
+      const auto r = psc.execute_now(tx, kHour + 1000);
+      EXPECT_FALSE(r.success) << c.name << " / " << methods[m];
+      EXPECT_EQ(r.revert_reason, c.reason) << c.name << " / " << methods[m];
+      EXPECT_EQ(r.gas_used, c.gas[m]) << c.name << " / " << methods[m];
+    }
+  }
+}
+
 TEST_F(JudgerFixture, GasCostsAreSane) {
   const auto r = deposit();
   ASSERT_TRUE(r.success);

@@ -459,10 +459,21 @@ StateImage sample_image() {
 }
 
 TEST(Snapshot, ImageSerializationIsCanonical) {
-  StateImage img = sample_image();
-  StateImage shuffled = img;
-  std::swap(shuffled.reservations[0], shuffled.reservations[2]);
-  EXPECT_EQ(img.serialize(), shuffled.serialize());
+  // Logically equal images are byte-identical whatever their history:
+  // reservations land in id order whatever order they were applied in,
+  // and open disputes are sorted at serialize time.
+  StateImage forward;
+  StateImage backward;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(apply_record(forward, reserve_rec(0x300 + i, 7, 1000 + i), 1));
+    ASSERT_TRUE(apply_record(backward, reserve_rec(0x302 - i, 7, 1002 - i), 1));
+  }
+  ASSERT_TRUE(apply_record(forward, dispute_open_rec(1, 0x11), 2));
+  ASSERT_TRUE(apply_record(forward, dispute_open_rec(2, 0x22), 3));
+  ASSERT_TRUE(apply_record(backward, dispute_open_rec(2, 0x22), 2));
+  ASSERT_TRUE(apply_record(backward, dispute_open_rec(1, 0x11), 3));
+  EXPECT_EQ(forward.serialize(), backward.serialize());
+  const StateImage img = sample_image();
   const auto back = StateImage::deserialize(img.serialize());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->serialize(), img.serialize());
@@ -490,6 +501,18 @@ TEST(Snapshot, OlderVersionFailsClosed) {
   w.u32le(crc32c(covered.data()));
   w.bytes(covered.data());
   EXPECT_FALSE(decode_snapshot(w.data()).has_value());
+}
+
+TEST(Snapshot, DuplicateOrUnsortedReservationIdsFailClosed) {
+  // Checksummed images whose reservation ids do not strictly increase
+  // are corrupt: replay could never have produced them.
+  StateImage dup = sample_image();
+  dup.reservations.push_back(dup.reservations.back());
+  EXPECT_FALSE(decode_snapshot(encode_snapshot(dup)).has_value());
+  StateImage unsorted = sample_image();
+  std::swap(unsorted.reservations[0], unsorted.reservations[2]);
+  EXPECT_FALSE(decode_snapshot(encode_snapshot(unsorted)).has_value());
+  EXPECT_TRUE(decode_snapshot(encode_snapshot(sample_image())).has_value());
 }
 
 TEST(Snapshot, EveryByteFlipAndTruncationFailsClosed) {
