@@ -18,6 +18,9 @@
 #                      budget, the bounded hand-timed harnesses at full
 #                      length) in a scratch cwd — catches bench bit-rot
 #                      without touching the curated BENCH_*.json artifacts.
+#                      Then scripts/bench_diff prints each fresh field
+#                      against the committed BENCH_*.json (ratio and a
+#                      +-10% noise-band flag); report only, never fails.
 #   --scenario-fuzz [N]
 #                      run the adversarial scenario fuzzer over N seeds
 #                      (default 25) in the current preset's tree. On an
@@ -155,6 +158,10 @@ if [[ "$bench_smoke" == 1 ]]; then
     fi
   done
   echo "== bench smoke: all benches ran =="
+  # Report only: how the fresh numbers sit against the committed
+  # BENCH_*.json. One smoke run on a shared machine is no verdict, so
+  # this never fails the run.
+  scripts/bench_diff "$smoke_dir" . || echo "== bench_diff: could not run =="
 fi
 
 if [[ "$gateway_smoke" == 1 ]]; then

@@ -54,7 +54,6 @@ struct InflightGuard {
 
 Gateway::Gateway(core::MerchantService& merchant, common::ThreadPool& pool, GatewayConfig config)
     : merchant_(merchant),
-      pool_(pool),
       config_(config),
       batcher_(pool, &crypto::SigCache::global(),
                VerifyBatcher::Config{config.verify_batch_max, config.verify_batch_wait_us},
@@ -439,55 +438,6 @@ Bytes Gateway::handle_get_receipt(const Frame& frame) {
     }
   }
   return make_frame(MsgType::kReceiptInfo, frame.request_id, resp.serialize());
-}
-
-std::future<Bytes> Gateway::submit(Bytes frame_bytes, std::uint64_t now_ms) {
-  return pool_.submit([this, frame = std::move(frame_bytes), now_ms]() {
-    return serve(frame, now_ms);
-  });
-}
-
-std::vector<Bytes> Gateway::serve_batch(const std::vector<Bytes>& frames, std::uint64_t now_ms) {
-  // Phase 1 (parallel): pre-verify every signature the sequential serves
-  // below would check, warming the global cache — the same fast-verify
-  // pipeline MerchantService::evaluate_fastpay_batch uses.
-  std::vector<crypto::SigCheckJob> jobs;
-  for (const auto& bytes : frames) {
-    const auto frame = Frame::deserialize(bytes);
-    if (!frame || frame->type != MsgType::kSubmitFastPay) continue;
-    const auto req = SubmitFastPayRequest::deserialize(frame->payload);
-    if (!req) continue;
-    const core::PaymentBinding& b = req->package.binding.binding;
-    if (const auto escrow = escrow_for(b.escrow_id)) {
-      crypto::SigCheckJob job;
-      job.digest = b.signing_digest();
-      job.pubkey = escrow->customer_btc_key;
-      job.sig = req->package.binding.customer_sig;
-      jobs.push_back(job);
-    }
-    const auto& node = merchant_.btc_node();
-    for (std::size_t i = 0; i < req->package.payment_tx.inputs.size(); ++i) {
-      const auto& in = req->package.payment_tx.inputs[i];
-      if (const auto coin = node.chain().utxo().get(in.prevout)) {
-        crypto::SigCheckJob job;
-        job.digest = req->package.payment_tx.signature_hash(i, coin->out.script_pubkey);
-        job.pubkey = in.script_sig.pubkey;
-        job.sig = in.script_sig.signature;
-        jobs.push_back(job);
-      }
-    }
-  }
-  (void)crypto::batch_verify(pool_, jobs, &crypto::SigCache::global(),
-                             &crypto::PubkeyPrecompCache::global());
-
-  // Phase 2 (sequential): decisions in input order — identical responses
-  // to a plain serve() loop for any pool size, just with hot caches.
-  std::vector<Bytes> out;
-  out.reserve(frames.size());
-  for (const auto& bytes : frames) {
-    out.push_back(serve(bytes, now_ms));
-  }
-  return out;
 }
 
 std::vector<psc::PscTx> Gateway::flush_accepted(std::uint64_t /*now_ms*/) {

@@ -26,7 +26,8 @@
 // frame sequence.
 //
 // Threading contract: serve() is safe from any number of threads while
-// the merchant/simulation is quiescent — the concurrent stages only READ
+// the merchant/simulation is quiescent (the TCP front end calls it once
+// per frame from its loop thread) — the concurrent stages only READ
 // node state (lazy escrow fetch, when enabled, is serialized by a
 // gateway-wide fetch lock). Mutation (merchant bookkeeping, BTC
 // broadcast, PSC txs) is deferred: accepted packages land in per-shard
@@ -40,7 +41,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -141,16 +141,6 @@ class Gateway {
   /// by the caller so the gateway stays clockless and deterministic.
   [[nodiscard]] Bytes serve(ByteSpan frame_bytes, std::uint64_t now_ms);
 
-  /// Asynchronous serve on the thread pool.
-  [[nodiscard]] std::future<Bytes> submit(Bytes frame_bytes, std::uint64_t now_ms);
-
-  /// Bulk intake: one parallel batch-verify pass warms the signature
-  /// cache across every submit frame (reusing the fast-verify engine),
-  /// then frames are served in order. Responses are index-aligned and
-  /// identical to serving sequentially — for any pool size.
-  [[nodiscard]] std::vector<Bytes> serve_batch(const std::vector<Bytes>& frames,
-                                               std::uint64_t now_ms);
-
   /// Drain every shard's commit queue as one epoch (control thread
   /// only): seal the queues, then apply merchant bookkeeping + BTC
   /// broadcast deterministically (shard order, then queue order).
@@ -246,7 +236,6 @@ class Gateway {
   void sync_store_stats();
 
   core::MerchantService& merchant_;
-  common::ThreadPool& pool_;
   GatewayConfig config_;
   store::DurableStore* store_ = nullptr;
   store::CommitGate* gate_ = nullptr;

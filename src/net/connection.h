@@ -9,7 +9,8 @@
 // Backpressure contract:
 //   - reads stop (wants_read() == false) while the write buffer sits
 //     above the soft watermark, or during an explicit shed backoff window
-//     (pause_reads_until) after the gateway shed this connection's batch;
+//     (pause_reads_until) after the gateway shed every frame this
+//     connection sent in one poll;
 //   - queue_response refuses once the hard cap would be exceeded — the
 //     server then disconnects, so a client that never drains responses
 //     costs one bounded buffer, never unbounded memory;

@@ -185,58 +185,64 @@ void TcpServer::handle_event(std::uint64_t tag, std::uint32_t events, std::uint6
 
 void TcpServer::dispatch(std::vector<std::pair<std::uint64_t, std::vector<Bytes>>>& batches,
                          std::uint64_t now_ms) {
-  if (batches.empty()) return;
   // Accept order, then per-connection arrival order: deterministic for
   // the byte-parity harness regardless of epoll's readiness order.
   std::sort(batches.begin(), batches.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  std::vector<Bytes> flat;
   for (auto& [tag, frames] : batches) {
-    for (auto& f : frames) flat.push_back(std::move(f));
-  }
-  std::vector<Bytes> responses;
-  if (!flat.empty()) responses = handler_.handle(flat, now_ms);
-
-  // Each batch's responses start at its cumulative frame offset. Never a
-  // running index: a mid-batch close (write overflow) must not shift the
-  // remaining connections onto the dead connection's leftover responses.
-  std::size_t base = 0;
-  for (auto& [tag, frames] : batches) {
-    const std::size_t batch_base = base;
-    base += frames.size();
     auto it = conns_.find(tag);
     if (it == conns_.end()) continue;
-    Connection& conn = *it->second.conn;
-    std::size_t sheds = 0;
-    bool closed = false;
-    for (std::size_t i = 0; i < frames.size() && batch_base + i < responses.size(); ++i) {
-      const Bytes& resp = responses[batch_base + i];
-      if (is_shed_response(resp)) {
-        ++sheds;
-        sheds_seen_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (!conn.queue_response(resp)) {
-        write_overflows_.fetch_add(1, std::memory_order_relaxed);
-        close_connection(tag);
-        closed = true;
-        break;
-      }
-      responses_out_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (closed) continue;
+    Entry& entry = it->second;
+    Connection& conn = *entry.conn;
 
-    if (it->second.error_pending) {
+    // One frame per handle() call, its response flushed before the next
+    // frame is served: no payment's answer waits on the rest of the poll.
+    // A connection closed partway (write overflow or write error) gets
+    // none of its later frames decided. Once the kernel buffer is full,
+    // responses only queue until the next EPOLLOUT.
+    std::size_t sheds = 0;
+    bool open = true;
+    bool kernel_full = false;
+    for (std::size_t i = 0; i < frames.size() && open; ++i) {
+      std::vector<Bytes> one;
+      one.push_back(std::move(frames[i]));
+      for (const Bytes& resp : handler_.handle(one, now_ms)) {
+        if (is_shed_response(resp)) {
+          ++sheds;
+          sheds_seen_.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (!conn.queue_response(resp)) {
+          write_overflows_.fetch_add(1, std::memory_order_relaxed);
+          open = false;
+          break;
+        }
+        responses_out_.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (open && !kernel_full && conn.wants_write()) {
+        const auto result = conn.on_writable();
+        open = result != Connection::WriteResult::kError;
+        kernel_full = result == Connection::WriteResult::kAgain;
+      }
+    }
+    if (!open) {
+      close_connection(tag);
+      continue;
+    }
+
+    // Finalization, after the connection's last frame: the framing-error
+    // reply and EOF close-after-flush follow every earlier response.
+    if (entry.error_pending) {
       gateway::ErrorResponse err;
       err.code = core::RejectReason::kMalformedFrame;
       err.message = "framing violation";
       const Bytes resp =
-          gateway::make_frame(gateway::MsgType::kError, it->second.error_rid, err.serialize());
+          gateway::make_frame(gateway::MsgType::kError, entry.error_rid, err.serialize());
       if (conn.queue_response(resp)) responses_out_.fetch_add(1, std::memory_order_relaxed);
-      it->second.error_pending = false;
+      entry.error_pending = false;
       conn.mark_close_after_flush();
     }
-    if (it->second.eof_pending) conn.mark_close_after_flush();
+    if (entry.eof_pending) conn.mark_close_after_flush();
 
     // Admission backpressure: when the gateway shed everything this
     // connection sent, stop reading from it for a beat instead of
@@ -246,8 +252,6 @@ void TcpServer::dispatch(std::vector<std::pair<std::uint64_t, std::vector<Bytes>
       read_pauses_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    // Opportunistic flush: the common case finishes without waiting for
-    // an EPOLLOUT round trip.
     if (conn.wants_write() && conn.on_writable() == Connection::WriteResult::kError) {
       close_connection(tag);
       continue;

@@ -1,15 +1,15 @@
 // The epoll TCP front end for the gateway: accepts connections, runs
-// every fd through Connection's bounded buffering, batches the complete
-// frames of each poll iteration into one FrameHandler::handle call (for
-// the gateway that is serve_batch, so concurrent frames coalesce into the
-// verify micro-batcher), and writes responses back per connection.
+// every fd through Connection's bounded buffering, hands each complete
+// frame to FrameHandler::handle on its own, and flushes that frame's
+// response before the next frame is served, so no payment's answer waits
+// on the rest of the poll.
 //
-// Single-threaded by design: one loop thread owns every socket, and all
-// request parallelism lives behind serve_batch's thread pool. That keeps
-// the connection table lock-free and the dispatch order deterministic
-// (connection id, then arrival order), which the byte-parity tests rely
-// on. stop() is the only cross-thread entry point (eventfd wakeup);
-// stats() reads relaxed atomics.
+// Single-threaded by design: one loop thread owns every socket, and the
+// only request parallelism is each frame's own verify batch on the
+// gateway's thread pool. That keeps the connection table lock-free and
+// the dispatch order deterministic (connection id, then arrival order),
+// which the byte-parity tests rely on. stop() is the only cross-thread
+// entry point (eventfd wakeup); stats() reads relaxed atomics.
 //
 // Failure policy (DESIGN.md §12):
 //   - framing violation (bad magic / oversized length): answer one typed
@@ -41,9 +41,10 @@ namespace btcfast::net {
 /// tests substitute a fake so timeout behaviour is scripted, not slept.
 using ClockFn = std::function<std::uint64_t()>;
 
-/// Serves batches of complete request frames. Responses must be
-/// index-aligned with the input. Implementations must tolerate frames
-/// that fail to decode (the gateway answers those with kError).
+/// Serves complete request frames; TcpServer passes one per call.
+/// Responses must be index-aligned with the input. Implementations must
+/// tolerate frames that fail to decode (the gateway answers those with
+/// kError).
 class FrameHandler {
  public:
   virtual ~FrameHandler() = default;
@@ -51,7 +52,7 @@ class FrameHandler {
                                                   std::uint64_t now_ms) = 0;
 };
 
-/// Adapter: frames go to Gateway::serve_batch. When the deployment's
+/// Adapter: each frame goes to Gateway::serve. When the deployment's
 /// simulation clock is quiescent while the server runs (every bench and
 /// test here), pin_time supplies the sim timestamp for request semantics
 /// while the server's own clock keeps driving socket timeouts.
@@ -63,7 +64,9 @@ class GatewayHandler final : public FrameHandler {
 
   [[nodiscard]] std::vector<Bytes> handle(const std::vector<Bytes>& frames,
                                           std::uint64_t now_ms) override {
-    return gw_.serve_batch(frames, pinned_now_ms_.value_or(now_ms));
+    std::vector<Bytes> out;
+    for (const auto& f : frames) out.push_back(gw_.serve(f, pinned_now_ms_.value_or(now_ms)));
+    return out;
   }
 
  private:
@@ -80,8 +83,9 @@ struct ServerConfig {
   /// Misbehavior points per offence (threshold lives in BanConfig).
   std::uint32_t score_framing = 50;
   std::uint32_t score_stall = 40;
-  /// Pause reading a connection for this long after the gateway shed its
-  /// whole batch — admission backpressure propagated to the socket.
+  /// Pause reading a connection for this long after the gateway shed
+  /// every frame it sent in one poll — admission backpressure propagated
+  /// to the socket.
   std::uint64_t shed_backoff_ms = 10;
   /// Mute the listener for this long when accept fails with fd/memory
   /// exhaustion (EMFILE/ENFILE/...), instead of spinning the

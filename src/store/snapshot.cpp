@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "btc/spv.h"
 #include "common/serialize.h"
 #include "store/crc32c.h"
+#include "store/wal.h"
 
 #if defined(_WIN32)
 #include <io.h>
@@ -29,11 +29,16 @@ bool read_txid(Reader& r, ByteArray<32>& out) {
   return true;
 }
 
-/// First reservation with id >= `id` (the vector is held in id order).
-std::vector<ReservationImage>::iterator find_reservation(StateImage& image, ReservationId id) {
-  return std::lower_bound(
-      image.reservations.begin(), image.reservations.end(), id,
-      [](const ReservationImage& r, ReservationId want) { return r.id < want; });
+/// First reservation with id >= `id` (the deque is held in id order).
+/// Ids are granted in increasing order and released mostly oldest-first,
+/// so the two ends are checked before the binary search.
+std::deque<ReservationImage>::iterator find_reservation(StateImage& image, ReservationId id) {
+  auto& rs = image.reservations;
+  if (rs.empty() || rs.back().id < id) return rs.end();
+  if (rs.front().id >= id) return rs.begin();
+  return std::lower_bound(rs.begin(), rs.end(), id, [](const ReservationImage& r, ReservationId want) {
+    return r.id < want;
+  });
 }
 
 }  // namespace
@@ -92,7 +97,6 @@ std::optional<StateImage> StateImage::deserialize(ByteSpan data) {
 
   const auto n_res = r.varint();
   if (!n_res || *n_res > kMaxEntries) return std::nullopt;
-  img.reservations.reserve(static_cast<std::size_t>(*n_res));
   for (std::uint64_t i = 0; i < *n_res; ++i) {
     ReservationImage res;
     const auto id = r.u64le();
@@ -203,10 +207,14 @@ bool apply_record(StateImage& image, const StoreRecord& record, std::uint64_t se
       break;
     }
     case RecordKind::kHeaderAccept: {
-      for (const auto& h : image.headers) {
-        if (h == record.header) return false;  // double-accept of a header
+      auto& index = image.header_index;
+      if (index.covered > image.headers.size()) index = {};
+      for (; index.covered < image.headers.size(); ++index.covered) {
+        index.set.insert(image.headers[index.covered]);
       }
+      if (!index.set.insert(record.header).second) return false;  // double-accept of a header
       image.headers.push_back(record.header);
+      ++index.covered;
       break;
     }
     default:
@@ -271,10 +279,9 @@ bool write_snapshot(const std::string& path, const StateImage& image) {
 }
 
 std::optional<StateImage> read_snapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  Bytes data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  return decode_snapshot(data);
+  const auto data = read_file(path);
+  if (!data) return std::nullopt;
+  return decode_snapshot(*data);
 }
 
 }  // namespace btcfast::store

@@ -13,7 +13,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "store/records.h"
@@ -50,14 +53,37 @@ struct DisputeImage {
   [[nodiscard]] bool operator==(const DisputeImage& o) const = default;
 };
 
+/// apply_record's duplicate-header lookup: a hash set of the first
+/// `covered` entries of StateImage::headers, extended on use. Derived
+/// data, so a copy starts empty and any two compare equal: it changes
+/// neither an image's bytes nor its equality. A log shorter than
+/// `covered` (a moved-from image) rebuilds it.
+struct HeaderIndex {
+  HeaderIndex() = default;
+  HeaderIndex(const HeaderIndex&) noexcept {}
+  HeaderIndex& operator=(const HeaderIndex&) noexcept { return *this = HeaderIndex{}; }
+  HeaderIndex(HeaderIndex&&) = default;
+  HeaderIndex& operator=(HeaderIndex&&) = default;
+  [[nodiscard]] bool operator==(const HeaderIndex&) const noexcept { return true; }
+
+  struct Hash {
+    std::size_t operator()(const ByteArray<80>& h) const noexcept {
+      return std::hash<std::string_view>{}({reinterpret_cast<const char*>(h.data()), h.size()});
+    }
+  };
+  std::unordered_set<ByteArray<80>, Hash> set;
+  std::size_t covered = 0;
+};
+
 /// The full durable state at one WAL position. apply_record() is the
 /// single replay function — the live store and recovery both use it, so
 /// a recovered image can never diverge from the in-memory one.
 struct StateImage {
   std::uint64_t last_seq = 0;  ///< seq of the last applied record
   /// Held sorted by id (strictly increasing): apply_record keeps it so
-  /// and deserialize() refuses any other order.
-  std::vector<ReservationImage> reservations;
+  /// and deserialize() refuses any other order. A deque, because releases
+  /// come oldest-first and erasing the front then moves nothing.
+  std::deque<ReservationImage> reservations;
   std::vector<DisputeImage> open_disputes;
   // Cumulative history counters, so "byte-identical to the control run"
   // covers not just live entries but how many came and went.
@@ -70,6 +96,7 @@ struct StateImage {
   /// connection order (parent-first — the order is part of the logical
   /// content: restore re-accepts them sequentially).
   std::vector<ByteArray<80>> headers;
+  HeaderIndex header_index;
 
   /// Canonical encoding: entries in key order, fixed field order.
   [[nodiscard]] Bytes serialize() const;

@@ -211,11 +211,21 @@ WalScan scan_wal(ByteSpan data, std::uint64_t expect_first_seq) {
   return out;
 }
 
+std::optional<Bytes> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const auto size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size < 0) return std::nullopt;
+  Bytes data(static_cast<std::size_t>(size));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(data.data()), size);
+  data.resize(static_cast<std::size_t>(in.gcount()));
+  return data;
+}
+
 WalScan scan_wal_file(const std::string& path, std::uint64_t expect_first_seq) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return WalScan{};  // missing file: empty log
-  Bytes data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  return scan_wal(data, expect_first_seq);
+  const auto data = read_file(path);
+  if (!data) return WalScan{};  // missing file: empty log
+  return scan_wal(*data, expect_first_seq);
 }
 
 WalWindowScan scan_wal_file_window(const std::string& path, std::uint64_t offset,

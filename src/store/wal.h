@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,10 @@ struct WalScan {
 /// record's sequence number (0 = accept any start); later records must
 /// each be exactly prev+1 — duplicates and skips fail closed.
 [[nodiscard]] WalScan scan_wal(ByteSpan data, std::uint64_t expect_first_seq = 0);
+
+/// A whole file in one sized read (what a failing read left unread is
+/// cut off); nullopt when it cannot be opened.
+[[nodiscard]] std::optional<Bytes> read_file(const std::string& path);
 
 /// Scan a WAL file from disk. A missing file scans as empty (a store
 /// that crashed before its first commit), a readable-but-corrupt one

@@ -497,7 +497,7 @@ TEST(ConcurrencyTest, NetworkLoopbackChurnHammer) {
                                                  dep.config().binding_ttl_ms));
   }
 
-  common::ThreadPool pool(2);  // real parallelism behind serve_batch
+  common::ThreadPool pool(2);  // each frame's verify batch runs here
   gateway::Gateway gw(dep.merchant(), pool, {});
   for (const auto& inv : invoices) gw.register_invoice(inv);
   gw.track_escrow(dep.customer().escrow_id());

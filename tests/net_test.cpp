@@ -20,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -544,7 +546,7 @@ TEST_F(NetGatewayUnit, PipelinedFramesInOneWriteMatchDirectServe) {
   ASSERT_TRUE(srv.started);
   const int fd = connect_client(srv.server->port());
   ASSERT_GE(fd, 0);
-  write_all(fd, concat(script));  // all frames coalesce into one batch
+  write_all(fd, concat(script));  // all frames arrive in one poll
 
   FrameAssembler rx;
   std::vector<Bytes> got;
@@ -553,6 +555,95 @@ TEST_F(NetGatewayUnit, PipelinedFramesInOneWriteMatchDirectServe) {
   for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(got[i], expected[i]);
   // All accepts really landed in the gateway behind the socket.
   EXPECT_EQ(gw_net->stats().accepts(), gw_ref->stats().accepts());
+  ::close(fd);
+}
+
+/// Delegates to the gateway handler one frame at a time and, before each
+/// frame is served, records how many response bytes the client socket can
+/// already read (MSG_PEEK, so the client still drains everything after).
+class PeekingHandler final : public FrameHandler {
+ public:
+  explicit PeekingHandler(FrameHandler& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::vector<Bytes> handle(const std::vector<Bytes>& frames,
+                                          std::uint64_t now_ms) override {
+    std::vector<Bytes> out;
+    for (const auto& frame : frames) {
+      readable_at_serve.push_back(readable_within(written, std::chrono::seconds(1)));
+      auto resp = inner_.handle({frame}, now_ms);
+      for (auto& r : resp) {
+        written += r.size();
+        out.push_back(std::move(r));
+      }
+      written_after_serve.push_back(written);
+    }
+    return out;
+  }
+
+  int client_fd = -1;
+  std::size_t written = 0;  ///< response bytes handed to the server so far
+  std::vector<std::size_t> readable_at_serve;
+  std::vector<std::size_t> written_after_serve;
+
+ private:
+  /// Bytes readable on the client, waiting up to `limit` for `want`.
+  std::size_t readable_within(std::size_t want, std::chrono::milliseconds limit) const {
+    std::vector<std::uint8_t> buf(want + 1);
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    for (;;) {
+      const ssize_t n = ::recv(client_fd, buf.data(), buf.size(), MSG_PEEK | MSG_DONTWAIT);
+      const std::size_t have = n > 0 ? static_cast<std::size_t>(n) : 0;
+      if (have >= want || std::chrono::steady_clock::now() >= deadline) return have;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  FrameHandler& inner_;
+};
+
+TEST_F(NetGatewayUnit, EachResponseIsWrittenBeforeTheNextFrameIsServed) {
+  // Every frame arrives in one poll. Frame i must not be served until the
+  // response to frame i-1 is readable by the client: no payment's answer
+  // waits for the rest of the poll.
+  auto gw_net = make_gateway();
+  auto gw_ref = make_gateway();
+  std::vector<Bytes> script;
+  for (std::size_t i = 0; i < pkgs.size(); ++i) script.push_back(submit_frame(300 + i, i));
+  script.push_back(make_frame(MsgType::kQueryEscrow, 310,
+                              gateway::QueryEscrowRequest{dep->customer().escrow_id()}.serialize()));
+  std::vector<Bytes> expected;
+  for (const auto& frame : script) expected.push_back(gw_ref->serve(frame, now));
+
+  GatewayHandler inner(*gw_net);
+  inner.pin_time(now);
+  PeekingHandler peeking(inner);
+  std::uint64_t fake_now_ms = 1;
+  TcpServer server(peeking, {}, [&] { return fake_now_ms; });
+  ASSERT_TRUE(server.start());
+  const int fd = connect_client(server.port());
+  ASSERT_GE(fd, 0);
+  peeking.client_fd = fd;
+  write_all(fd, concat(script));
+  for (int i = 0; i < 2000 && peeking.readable_at_serve.size() < script.size(); ++i) {
+    (void)server.poll_once(0);
+  }
+  ASSERT_EQ(peeking.readable_at_serve.size(), script.size());
+  EXPECT_EQ(server.stats().frames_in, script.size());
+  for (std::size_t i = 1; i < script.size(); ++i) {
+    EXPECT_GE(peeking.readable_at_serve[i], peeking.written_after_serve[i - 1])
+        << "frame " << i << " was served before response " << i - 1 << " was written";
+  }
+
+  // The streamed responses are still byte-exact with direct serve().
+  FrameAssembler rx;
+  std::vector<Bytes> got;
+  for (int i = 0; i < 2000 && got.size() < expected.size(); ++i) {
+    const Bytes bytes = drain_client(fd);
+    (void)rx.feed(bytes);
+    while (auto f = rx.next_frame()) got.push_back(std::move(*f));
+  }
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(got[i], expected[i]);
   ::close(fd);
 }
 
@@ -717,6 +808,58 @@ TEST_F(NetGatewayUnit, WriteOverflowMidBatchDoesNotShiftOtherConnectionsResponse
   const auto resp = Frame::deserialize(got[0]);
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->request_id, 990001u);
+  ::close(fd_stall);
+  ::close(fd_victim);
+}
+
+TEST_F(NetGatewayUnit, WriteOverflowLeavesTheClosedConnectionsLaterFramesUndecided) {
+  auto gw_net = make_gateway();
+  auto gw_ref = make_gateway();
+  ServerConfig scfg;
+  scfg.conn.so_sndbuf = 4096;
+  scfg.conn.write_buffer_hard = 8192;
+  scfg.conn.write_buffer_soft = 4096;
+  ScriptedServer srv(*gw_net, now, scfg);
+  ASSERT_TRUE(srv.started);
+
+  const int fd_stall = connect_client(srv.server->port());
+  ASSERT_GE(fd_stall, 0);
+  (void)srv.server->poll_once(0);  // accept first: lower tag, dispatched first
+  const int fd_victim = connect_client(srv.server->port());
+  ASSERT_GE(fd_victim, 0);
+  (void)srv.server->poll_once(0);
+  ASSERT_EQ(srv.server->connection_count(), 2u);
+
+  // The staller floods receipt lookups it never drains, then submits
+  // three payments behind them. Its write overflow closes it mid-poll, so
+  // those payments must never be decided: no accept, no reject, no hold
+  // on the escrow the victim then queries.
+  Bytes burst;
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    append(burst, make_frame(MsgType::kGetReceipt, i, gateway::GetReceiptRequest{i}.serialize()));
+  }
+  for (std::size_t i = 1; i < pkgs.size(); ++i) append(burst, submit_frame(5000 + i, i));
+  write_all(fd_stall, burst);
+  const std::vector<Bytes> victim = {
+      submit_frame(990001, 0),
+      make_frame(MsgType::kQueryEscrow, 990002,
+                 gateway::QueryEscrowRequest{dep->customer().escrow_id()}.serialize())};
+  std::vector<Bytes> expected;
+  for (const auto& frame : victim) expected.push_back(gw_ref->serve(frame, now));
+  write_all(fd_victim, concat(victim));
+
+  FrameAssembler rx;
+  std::vector<Bytes> got;
+  for (int i = 0; i < 200 && (srv.server->stats().write_overflows == 0 ||
+                              got.size() < expected.size());
+       ++i) {
+    srv.pump_once(fd_victim, rx, got);
+  }
+  EXPECT_EQ(srv.server->stats().write_overflows, 1u) << "staller was not cut";
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(got[i], expected[i]);
+  EXPECT_EQ(gw_net->stats().accepts(), gw_ref->stats().accepts());
+  EXPECT_EQ(gw_net->stats().rejects(), gw_ref->stats().rejects());
   ::close(fd_stall);
   ::close(fd_victim);
 }
