@@ -18,9 +18,11 @@
 #include "btc/header.h"
 #include "btc/params.h"
 #include "btc/pow.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "crypto/batch_verify.h"
 #include "crypto/ecdsa.h"
+#include "crypto/field.h"
 #include "crypto/merkle.h"
 #include "crypto/ripemd160.h"
 #include "crypto/secp256k1.h"
@@ -221,6 +223,118 @@ double min_us_per_op(int reps, std::uint64_t iters, F&& body) {
 }
 
 // ---------------------------------------------------------------------------
+// Field kernels: the fully reduced U256 engine (signing, comb, baseline)
+// against the 5×52 Fe engine that runs the verify chain.
+// ---------------------------------------------------------------------------
+
+U256 random_field_element(Rng& rng) {
+  for (;;) {
+    const auto raw = rng.bytes<32>();
+    const U256 v = U256::from_be_bytes({raw.data(), raw.size()});
+    if (v < secp::field_p()) return v;
+  }
+}
+
+/// Fe vs U256 parity over `count` random products and squares. Operands
+/// are lifted to non-canonical forms by up to 15 multiples of p (the
+/// magnitude-8 limit of mul/sqr). Returns the number of mismatches.
+std::uint64_t fe_parity_mismatches(std::uint64_t count) {
+  namespace fe = secp::fe;
+  Rng rng(0xFEu);
+  const secp::Fe p = fe::from_u256(secp::field_p());
+  std::uint64_t bad = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const U256 a = random_field_element(rng);
+    const U256 b = random_field_element(rng);
+    const secp::Fe fa = fe::add(fe::from_u256(a), fe::mul_int(p, rng.below(16)));
+    const secp::Fe fb = fe::add(fe::from_u256(b), fe::mul_int(p, rng.below(16)));
+    if (fe::to_u256(fe::mul(fa, fb)) != secp::fmul(a, b)) ++bad;
+    if (fe::to_u256(fe::sqr(fa)) != secp::fsqr(a)) ++bad;
+  }
+  return bad;
+}
+
+/// ns per op. mul, sqr and normalize run a dependent chain (each result
+/// feeds the next call), so those rows are latencies — what the verify
+/// chain's critical path pays; add runs over independent operands. The
+/// U256 rows are out-of-line calls into secp256k1.cpp; the Fe rows
+/// are the inline functions of field.h, as the verify engine uses them.
+void run_field_kernel_section(bench::JsonDoc& doc) {
+  namespace fe = secp::fe;
+  std::printf("\n# Field kernels (dependent chains except add, min-of-reps)\n\n");
+  Rng rng(0x5EED);
+  const U256 a = random_field_element(rng);
+  const U256 b = random_field_element(rng);
+  const secp::Fe fa = fe::from_u256(a);
+  const secp::Fe fb = fe::from_u256(b);
+  constexpr int kReps = 7;
+  constexpr std::uint64_t kIters = 200000;
+  auto ns = [](double us) { return us * 1e3; };
+
+  U256 u = a;
+  secp::Fe f = fa;
+  const double u_mul = ns(min_us_per_op(kReps, kIters, [&] {
+    for (std::uint64_t i = 0; i < kIters; ++i) u = secp::fmul(u, b);
+  }));
+  const double f_mul = ns(min_us_per_op(kReps, kIters, [&] {
+    for (std::uint64_t i = 0; i < kIters; ++i) f = fe::mul(f, fb);
+  }));
+  const double u_sqr = ns(min_us_per_op(kReps, kIters, [&] {
+    for (std::uint64_t i = 0; i < kIters; ++i) u = secp::fsqr(u);
+  }));
+  const double f_sqr = ns(min_us_per_op(kReps, kIters, [&] {
+    for (std::uint64_t i = 0; i < kIters; ++i) f = fe::sqr(f);
+  }));
+  // A chain of adds is linear, so the optimizer folds it into one
+  // multiply; add is timed over independent operands instead.
+  constexpr std::size_t kAddOps = 256;
+  std::vector<U256> ua(kAddOps), ub(kAddOps), uo(kAddOps);
+  std::vector<secp::Fe> fa_v(kAddOps), fb_v(kAddOps), fo(kAddOps);
+  for (std::size_t i = 0; i < kAddOps; ++i) {
+    ua[i] = random_field_element(rng);
+    ub[i] = random_field_element(rng);
+    fa_v[i] = fe::from_u256(ua[i]);
+    fb_v[i] = fe::from_u256(ub[i]);
+  }
+  const double u_add = ns(min_us_per_op(kReps, kIters, [&] {
+    for (std::uint64_t i = 0; i < kIters / kAddOps; ++i) {
+      for (std::size_t k = 0; k < kAddOps; ++k) uo[k] = secp::fadd(ua[k], ub[k]);
+      benchmark::DoNotOptimize(uo.data());
+      benchmark::ClobberMemory();
+    }
+  }));
+  const double f_add = ns(min_us_per_op(kReps, kIters, [&] {
+    for (std::uint64_t i = 0; i < kIters / kAddOps; ++i) {
+      for (std::size_t k = 0; k < kAddOps; ++k) fo[k] = fe::add(fa_v[k], fb_v[k]);
+      benchmark::DoNotOptimize(fo.data());
+      benchmark::ClobberMemory();
+    }
+  }));
+  const double f_norm = ns(min_us_per_op(kReps, kIters, [&] {
+    for (std::uint64_t i = 0; i < kIters; ++i) f = fe::normalize(f);
+  }));
+  benchmark::DoNotOptimize(u);
+  benchmark::DoNotOptimize(f);
+
+  bench::Table field({"op", "u256 ns", "fe 5x52 ns"});
+  field.row({"mul", bench::fmt(u_mul, 2), bench::fmt(f_mul, 2)});
+  field.row({"sqr", bench::fmt(u_sqr, 2), bench::fmt(f_sqr, 2)});
+  field.row({"add (independent operands)", bench::fmt(u_add, 2), bench::fmt(f_add, 2)});
+  // The U256 engine reduces fully inside every operation.
+  field.row({"normalize", "-", bench::fmt(f_norm, 2)});
+  field.print();
+
+  doc.set("field_u256_mul_ns", u_mul);
+  doc.set("field_fe_mul_ns", f_mul);
+  doc.set("field_u256_sqr_ns", u_sqr);
+  doc.set("field_fe_sqr_ns", f_sqr);
+  doc.set("field_u256_add_ns", u_add);
+  doc.set("field_fe_add_ns", f_add);
+  doc.set("field_fe_normalize_ns", f_norm);
+  doc.add_table("field", field);
+}
+
+// ---------------------------------------------------------------------------
 // Hand-timed verify-engine section → the GLV / precomp / batch acceptance
 // numbers. Returns false if the smoke-mode floors fail.
 // ---------------------------------------------------------------------------
@@ -299,6 +413,15 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
                                 {t.sig.data(), t.sig.size()}, &pre));
     }
   });
+  // The same warm path on ONE signature verified over and over: the
+  // branch predictor learns that input, so any gap below the fresh-message
+  // row above is the price of data-dependent branches.
+  const double warm_repeat_us = min_us_per_op(reps, n_single, [&] {
+    for (std::uint64_t i = 0; i < n_single; ++i) {
+      check(ecdsa_verify_cached(nullptr, {warm[0].pubkey.data(), 33}, warm[0].digest,
+                                {warm[0].sig.data(), 64}, &pre));
+    }
+  });
 
   // Batch verify: one Montgomery inversion per batch. Cold = distinct
   // keys, warm = 4 repeat payers with resident precomp tables.
@@ -335,6 +458,8 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
               bench::fmt(cold_speedup, 2)});
   verify.row({"glv warm (precomp tables resident)", bench::fmt(warm_us, 1),
               bench::fmt(warm_speedup, 2)});
+  verify.row({"glv warm, one signature repeated", bench::fmt(warm_repeat_us, 1),
+              bench::fmt(legacy_wire_us / warm_repeat_us, 2)});
   verify.row({"batch cold (shared ninv, distinct keys)", bench::fmt(batch_cold_us, 1),
               bench::fmt(legacy_wire_us / batch_cold_us, 2)});
   verify.row({"batch warm (shared ninv, repeat payers)", bench::fmt(batch_warm_us, 1),
@@ -346,6 +471,7 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
   doc.set("verify_legacy_wire_us", legacy_wire_us);
   doc.set("verify_cold_us", cold_us);
   doc.set("verify_warm_us", warm_us);
+  doc.set("verify_warm_repeat_us", warm_repeat_us);
   doc.set("verify_batch_cold_us", batch_cold_us);
   doc.set("verify_batch_warm_us", batch_warm_us);
   doc.set("verify_cold_speedup", cold_speedup);
@@ -360,9 +486,14 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
   // hardware-independent. The absolute-latency budget only applies when
   // the caller vouches for the hardware via BTCFAST_VERIFY_BUDGET_US.
   bool ok = sink;
+  // Fe vs U256 parity self-check: any mismatch fails the gate.
+  const std::uint64_t mismatches = fe_parity_mismatches(4096);
+  std::printf("\n# verify-smoke: fe parity, 4096 products + 4096 squares: %llu mismatches\n",
+              static_cast<unsigned long long>(mismatches));
+  if (mismatches != 0) ok = false;
   const double kColdFloor = 1.5;
   const double kWarmFloor = 2.0;
-  std::printf("\n# verify-smoke: cold %.2fx (floor %.1f), warm %.2fx (floor %.1f)\n",
+  std::printf("# verify-smoke: cold %.2fx (floor %.1f), warm %.2fx (floor %.1f)\n",
               cold_speedup, kColdFloor, warm_speedup, kWarmFloor);
   if (cold_speedup < kColdFloor || warm_speedup < kWarmFloor) ok = false;
   if (const char* budget_env = std::getenv("BTCFAST_VERIFY_BUDGET_US")) {
@@ -501,6 +632,7 @@ void run_hashing_engine_section() {
   std::printf("\n");
   merkle.print();
 
+  run_field_kernel_section(doc);
   (void)run_verify_engine_section(doc, /*smoke=*/false);
 
   doc.add_table("kernels", kernels);

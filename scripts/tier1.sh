@@ -57,7 +57,9 @@
 #                      (BTCFAST_VERIFY_SMOKE=1) in a scratch cwd and fail
 #                      if the GLV cold / warm-precomp paths fall under
 #                      their relative floors (1.5x / 2.0x vs the frozen
-#                      shamir baseline). Set BTCFAST_VERIFY_BUDGET_US to
+#                      shamir baseline), or if the 5x52 Fe engine differs
+#                      from the U256 engine on any of 4096 random products
+#                      and 4096 random squares. Set BTCFAST_VERIFY_BUDGET_US to
 #                      additionally enforce an absolute cold-verify budget
 #                      in microseconds; without it, the absolute check
 #                      self-skips (wall-clock budgets are meaningless on
@@ -250,10 +252,11 @@ fi
 
 if [[ "$verify_smoke" == 1 ]]; then
   # The GLV + precomp verify engine must hold its speedup over the frozen
-  # shamir baseline. Ratios are load-resilient (both sides run on the
-  # same machine in the same process), so they are always enforced; the
-  # absolute microsecond budget only applies when the caller pins one
-  # via BTCFAST_VERIFY_BUDGET_US.
+  # shamir baseline, and its field engine must match the U256 one.
+  # Ratios are load-resilient (both sides run on the same machine in the
+  # same process), so they are always enforced; the absolute microsecond
+  # budget only applies when the caller pins one via
+  # BTCFAST_VERIFY_BUDGET_US.
   echo "== verify smoke (${bindir}) =="
   smoke_bench verify-smoke bench_micro_crypto BTCFAST_VERIFY_SMOKE=1
   echo "== verify smoke: clean =="

@@ -1,5 +1,6 @@
 #include "crypto/ecdsa.h"
 
+#include "crypto/field.h"
 #include "crypto/hmac.h"
 
 namespace btcfast::crypto {
@@ -118,10 +119,13 @@ namespace {
 /// is a candidate c < p with c ≡ r (mod n) iff X == c·Z² (mod p). The
 /// candidates are r itself and, only when r + n < p, r + n.
 bool check_r_matches(const U256& r, const secp::JacobianPoint& rj) noexcept {
+  namespace fe = secp::fe;
   if (rj.is_infinity()) return false;
-  const U256 zz = secp::fsqr(rj.z);
-  if (secp::fmul(r, zz) == rj.x) return true;
-  return r < secp::field_p() - secp::order_n() && secp::fmul(r + secp::order_n(), zz) == rj.x;
+  const secp::Fe x = fe::from_u256(rj.x);
+  const secp::Fe zz = fe::sqr(fe::from_u256(rj.z));
+  if (fe::equal(fe::mul(fe::from_u256(r), zz), x)) return true;
+  return r < secp::field_p() - secp::order_n() &&
+         fe::equal(fe::mul(fe::from_u256(r + secp::order_n()), zz), x);
 }
 
 /// Range-check the signature and derive the two verify scalars.

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "crypto/field.h"
+
 namespace btcfast::crypto::secp {
 namespace {
 
@@ -190,18 +192,6 @@ U256 reduce512_n(const U512& t) noexcept {
   return r;
 }
 
-/// a^e mod p with the fast field multiply.
-U256 fpow(const U256& a, const U256& e) noexcept {
-  U256 result = U256::one();
-  U256 base = a;
-  const int top = e.top_bit();
-  for (int i = 0; i <= top; ++i) {
-    if (e.bit(static_cast<unsigned>(i))) result = fmul(result, base);
-    base = fsqr(base);
-  }
-  return result;
-}
-
 AffinePoint make_generator() {
   AffinePoint g;
   g.infinity = false;
@@ -316,12 +306,41 @@ U256 finv(const U256& a) noexcept { return invmod_odd_var(a, kP); }
 
 U256 finv_baseline(const U256& a) noexcept { return invmod_odd(a, kP); }
 
+namespace {
+
+/// a^((p+1)/4) by a fixed addition chain: 253 squarings and 13 multiplies.
+/// The exponent is 223 ones, a zero, 22 ones, then 0b00001100; x_k below
+/// is a^(2^k − 1). a: magnitude ≤ 8; result magnitude 1.
+Fe fe_sqrt_candidate(const Fe& a) noexcept {
+  auto sqr_n = [](Fe x, int n) {
+    for (int i = 0; i < n; ++i) x = fe::sqr(x);
+    return x;
+  };
+  const Fe x2 = fe::mul(fe::sqr(a), a);
+  const Fe x3 = fe::mul(fe::sqr(x2), a);
+  const Fe x6 = fe::mul(sqr_n(x3, 3), x3);
+  const Fe x9 = fe::mul(sqr_n(x6, 3), x3);
+  const Fe x11 = fe::mul(sqr_n(x9, 2), x2);
+  const Fe x22 = fe::mul(sqr_n(x11, 11), x11);
+  const Fe x44 = fe::mul(sqr_n(x22, 22), x22);
+  const Fe x88 = fe::mul(sqr_n(x44, 44), x44);
+  const Fe x176 = fe::mul(sqr_n(x88, 88), x88);
+  const Fe x220 = fe::mul(sqr_n(x176, 44), x44);
+  const Fe x223 = fe::mul(sqr_n(x220, 3), x3);
+  Fe t = fe::mul(sqr_n(x223, 23), x22);
+  t = fe::mul(sqr_n(t, 6), x2);
+  return sqr_n(t, 2);
+}
+
+}  // namespace
+
 std::optional<U256> fsqrt(const U256& a) noexcept {
-  // p ≡ 3 (mod 4): candidate = a^((p+1)/4).
-  const U256 exponent = (kP + U256::one()) >> 2;
-  const U256 cand = fpow(a, exponent);
-  if (fsqr(cand) != a) return std::nullopt;
-  return cand;
+  // p ≡ 3 (mod 4): the only candidate is a^((p+1)/4). The square is
+  // compared canonically, so an input ≥ p (outside the contract) is never
+  // reported as a square.
+  const Fe cand = fe_sqrt_candidate(fe::from_u256(a));
+  if (fe::to_u256(fe::sqr(cand)) != a) return std::nullopt;
+  return fe::to_u256(cand);
 }
 
 JacobianPoint to_jacobian(const AffinePoint& p) noexcept {
@@ -497,21 +516,139 @@ int wnaf_digits(std::int16_t* out, const U256& k, unsigned width) noexcept {
   return len;
 }
 
-/// Affine odd multiples {1P, 3P, ..., (2·count-1)P}, batch-normalized so
-/// the wNAF loop uses mixed additions and negation is a y-flip.
-std::vector<AffinePoint> odd_multiples_affine(const AffinePoint& p, std::size_t count) {
-  std::vector<JacobianPoint> jac;
-  jac.reserve(count);
-  jac.push_back(to_jacobian(p));
-  const JacobianPoint twop = jdouble(jac[0]);
-  for (std::size_t i = 1; i < count; ++i) jac.push_back(jadd(jac[i - 1], twop));
-  return batch_to_affine(jac);
+// --- Fe point arithmetic: the verify engine ----------------------------
+// Every point-arithmetic inner loop of verification (the GLV chain, the
+// co-Z table ladder, the precomp build) runs on the 5×52 `Fe` of
+// field.h. Magnitudes are noted in parentheses where they exceed 1.
+
+/// Jacobian point on Fe. Between operations X and Y have magnitude 1 and
+/// Z magnitude ≤ 2; `inf` marks the identity (coordinates unused).
+struct FePoint {
+  Fe x;
+  Fe y;
+  Fe z;
+  bool inf;
+};
+
+/// p = 2p in place: dbl-2009-l with D = 4·X·Y² as one multiply (3M + 4S),
+/// the same residues as jdouble. No point of secp256k1 has y = 0 (the
+/// group order is odd), so only the identity needs a test.
+inline void fe_double(FePoint& p) noexcept {
+  if (p.inf) return;
+  const Fe a = fe::sqr(p.x);       // X²
+  const Fe b = fe::sqr(p.y);       // Y²
+  const Fe c = fe::sqr(b);         // Y⁴
+  const Fe d = fe::mul(p.x, b);    // X·Y²
+  const Fe e = fe::mul_int(a, 3);  // 3X² (3)
+  p.z = fe::mul_int(fe::mul(p.y, p.z), 2);  // Z3 = 2·Y·Z (2)
+  // X3 = E² − 8·X·Y² (17 → 1)
+  p.x = fe::normalize_weak(fe::add(fe::sqr(e), fe::mul_int(fe::negate(d, 1), 8)));
+  // Y3 = E·(4·X·Y² − X3) − 8·Y⁴: the factor is (6), the sum (17 → 1)
+  const Fe f = fe::add(fe::mul_int(d, 4), fe::negate(p.x, 1));
+  p.y = fe::normalize_weak(fe::add(fe::mul(e, f), fe::mul_int(fe::negate(c, 1), 8)));
+}
+
+/// p += (bx, flip ? −by : by) for a finite affine operand of magnitude 1:
+/// 8M + 3S, the same residues as jadd_mixed. The sign is a masked
+/// negate; the only branch on values is the equal-x case.
+inline void fe_add_mixed(FePoint& p, const Fe& bx, const Fe& by, bool flip) noexcept {
+  if (p.inf) {
+    p.x = bx;
+    p.y = fe::normalize_weak(fe::cneg(by, 1, flip));
+    p.z = fe::from_u64(1);
+    p.inf = false;
+    return;
+  }
+  const Fe z1z1 = fe::sqr(p.z);
+  const Fe u2 = fe::mul(bx, z1z1);
+  const Fe s2 = fe::cneg(fe::mul(by, fe::mul(z1z1, p.z)), 1, flip);  // (2)
+  const Fe h = fe::add(u2, fe::negate(p.x, 1));                        // (3)
+  const Fe r = fe::add(s2, fe::negate(p.y, 1));                        // (4)
+  if (fe::is_zero(h)) {
+    if (fe::is_zero(r)) {
+      fe_double(p);
+    } else {
+      p.inf = true;
+    }
+    return;
+  }
+  const Fe h2 = fe::sqr(h);
+  const Fe h3 = fe::mul(h2, h);
+  const Fe u1h2 = fe::mul(p.x, h2);
+  // X3 = r² − h³ − 2·X·h² (7 → 1)
+  const Fe x3 = fe::normalize_weak(
+      fe::add(fe::add(fe::sqr(r), fe::negate(h3, 1)), fe::mul_int(fe::negate(u1h2, 1), 2)));
+  // Y3 = r·(X·h² − X3) − Y·h³ (3 → 1)
+  p.y = fe::normalize_weak(
+      fe::add(fe::mul(r, fe::add(u1h2, fe::negate(x3, 1))), fe::negate(fe::mul(p.y, h3), 1)));
+  p.x = x3;
+  p.z = fe::mul(h, p.z);
+}
+
+/// Odd multiples P, 3P, ..., (2·count − 1)P of a finite point by a co-Z
+/// ZADDU ladder: 5M + 2S per entry and no inversion. Entry i comes out
+/// on its own frame F_i (true affine x = x[i]/F_i², y = y[i]/F_i³), with
+/// F_i = F_{i−1}·h[i] (h[i] has magnitude 3); returns F_0 = Z(2P).
+Fe coz_odd_multiples(const AffinePoint& p, std::size_t count, Fe* x, Fe* y, Fe* h) noexcept {
+  const Fe px = fe::from_u256(p.x);
+  const Fe py = fe::from_u256(p.y);
+  FePoint d{px, py, fe::from_u64(1), false};
+  fe_double(d);  // 2P, Z = 2y (never 0 on secp256k1)
+  const Fe dzz = fe::sqr(d.z);
+  x[0] = fe::mul(px, dzz);  // P rescaled into 2P's frame
+  y[0] = fe::mul(py, fe::mul(dzz, d.z));
+  Fe bx = d.x;  // 2P, co-Z with the current odd multiple
+  Fe by = d.y;
+  for (std::size_t i = 1; i < count; ++i) {
+    // ZADDU(2P, (2i−1)P), both on F_{i−1}: gives (2i+1)P and 2P rescaled,
+    // co-Z on F_i = F_{i−1}·(X2 − X1).
+    const Fe dx = fe::add(x[i - 1], fe::negate(bx, 1));  // (3)
+    const Fe a = fe::sqr(dx);
+    const Fe b = fe::mul(bx, a);
+    const Fe c = fe::mul(x[i - 1], a);
+    const Fe dy = fe::add(y[i - 1], fe::negate(by, 1));  // (3)
+    const Fe x3 =
+        fe::normalize_weak(fe::add(fe::sqr(dy), fe::add(fe::negate(b, 1), fe::negate(c, 1))));
+    const Fe a1 = fe::mul(by, fe::add(c, fe::negate(b, 1)));
+    y[i] = fe::normalize_weak(
+        fe::add(fe::mul(dy, fe::add(b, fe::negate(x3, 1))), fe::negate(a1, 1)));
+    x[i] = x3;
+    h[i] = dx;
+    bx = b;
+    by = a1;
+  }
+  return d.z;
+}
+
+/// Store an entry and its endomorphism image (β·x, y) in the 4×64 form.
+inline void store_entry(AffinePoint& q, AffinePoint& lq, const Fe& x, const Fe& y,
+                        const Fe& beta) noexcept {
+  q = AffinePoint{fe::to_u256(x), fe::to_u256(y), false};
+  lq = AffinePoint{fe::to_u256(fe::mul(beta, x)), q.y, false};
+}
+
+/// True-affine odd multiples P, 3P, ..., (2·count − 1)P into q and their
+/// λ images into lq: the co-Z ladder, one field inversion of the deepest
+/// frame, then that inverse walked back down the ladder (4M + 1S per
+/// entry).
+void affine_odd_multiples(const AffinePoint& p, std::size_t count, AffinePoint* q,
+                          AffinePoint* lq) {
+  std::vector<Fe> x(count), y(count), h(count);
+  Fe zinv = coz_odd_multiples(p, count, x.data(), y.data(), h.data());
+  for (std::size_t i = 1; i < count; ++i) zinv = fe::mul(zinv, h[i]);
+  zinv = fe::from_u256(finv(fe::to_u256(zinv)));  // 1 / F_{count−1}
+  const Fe beta = fe::from_u256(kBeta);
+  for (std::size_t i = count; i-- > 0;) {
+    const Fe zz = fe::sqr(zinv);
+    store_entry(q[i], lq[i], fe::mul(x[i], zz), fe::mul(y[i], fe::mul(zz, zinv)), beta);
+    if (i > 0) zinv = fe::mul(zinv, h[i]);  // 1/F_{i−1} = h[i]/F_i
+  }
 }
 
 constexpr std::size_t kPointTableSize = 16;  // wNAF-5 odd multiples
 
-/// Stack-allocated variant of odd_multiples_affine for the per-call
-/// scalar_mul / double_scalar_mul_shamir tables — no heap allocation.
+/// Affine odd multiples {1P, 3P, ..., 31P} on the stack for the per-call
+/// scalar_mul / double_scalar_mul_shamir tables, in U256 arithmetic.
 /// Pinned to the binary-GCD finv_baseline: this build (one inversion per
 /// table) is part of the frozen baseline verify kernel that the bench
 /// speedup ratios are measured against.
@@ -540,25 +677,23 @@ inline AffinePoint affine_neg(const AffinePoint& p) noexcept {
   return {p.x, fneg(p.y), false};
 }
 
-/// Static generator table: 1G, 3G, ..., 511G (256 affine points) — wide
-/// enough for the GLV chain's wNAF-9 digits; the legacy Shamir kernel's
-/// wNAF-7 digits index the first 64 entries (the same points PR-6 built).
-/// 256 entries × 64 bytes = 16 KiB per table (G and λG), built once.
-const std::vector<AffinePoint>& gen_odd_multiples() {
-  static const std::vector<AffinePoint> table = odd_multiples_affine(kG, 256);
-  return table;
-}
+/// Static generator tables: 1G, 3G, ..., 511G (256 affine points) —
+/// wide enough for the GLV chain's wNAF-9 digits; the legacy Shamir
+/// kernel's wNAF-7 digits index the first 64 entries (the same points
+/// PR-6 built) — and their λ images (β·x_i, y_i), because
+/// λ·((2i+1)·G) = φ((2i+1)·G). Built once.
+struct GenTables {
+  AffinePoint g[256];
+  AffinePoint lg[256];
+};
 
-/// Static λG table: elementwise β·x image of the generator table, because
-/// λ·((2i+1)·G) = φ((2i+1)·G) = (β·x_i, y_i).
-const std::vector<AffinePoint>& gen_lambda_odd_multiples() {
-  static const std::vector<AffinePoint> table = [] {
-    const auto& g = gen_odd_multiples();
-    std::vector<AffinePoint> t(g.size());
-    for (std::size_t i = 0; i < g.size(); ++i) t[i] = AffinePoint{fmul(kBeta, g[i].x), g[i].y, false};
+const GenTables& gen_tables() {
+  static const GenTables tables = [] {
+    GenTables t;
+    affine_odd_multiples(kG, 256, t.g, t.lg);
     return t;
   }();
-  return table;
+  return tables;
 }
 
 constexpr unsigned kWnafWidthPoint = 5;  // per-call tables: 16 entries
@@ -623,7 +758,7 @@ JacobianPoint double_scalar_mul_shamir(const U256& u1, const U256& u2,
   std::int16_t naf2[264];
   const int len1 = wnaf_digits(naf1, u1, kWnafWidthBase);
   const int len2 = wnaf_digits(naf2, u2, kWnafWidthPoint);
-  const auto& gtab = gen_odd_multiples();
+  const AffinePoint* gtab = gen_tables().g;
   AffinePoint ptab[kPointTableSize];
   odd_multiples_affine_16(p, ptab);
 
@@ -670,70 +805,17 @@ GlvSplit glv_split(const U256& k) noexcept {
 
 namespace {
 
-/// acc = 2·acc in place — dbl-2009-l like jdouble, minus the 96-byte
-/// struct copy per iteration that `acc = jdouble(acc)` costs the chain.
-inline void jdouble_ip(JacobianPoint& p) noexcept {
-  if (p.is_infinity() || p.y.is_zero()) {
-    p = JacobianPoint::identity();
-    return;
-  }
-  const U256 a = fsqr(p.x);
-  const U256 b = fsqr(p.y);
-  const U256 c = fsqr(b);
-  U256 d = fsub(fsub(fsqr(fadd(p.x, b)), a), c);
-  d = fadd(d, d);
-  const U256 e = fadd(fadd(a, a), a);
-  const U256 x3 = fsub(fsqr(e), fadd(d, d));
-  U256 c8 = fadd(c, c);
-  c8 = fadd(c8, c8);
-  c8 = fadd(c8, c8);
-  p.z = fmul(fadd(p.y, p.y), p.z);  // uses the original Y1 — before the overwrite
-  p.y = fsub(fmul(e, fsub(d, x3)), c8);
-  p.x = x3;
-}
-
-/// acc += (bx, ±by) in place for an affine non-infinity operand; `neg`
-/// folds the wNAF sign into s2 (fneg(y·k) ≡ (−y)·k mod p) so the table
-/// entry is never copied or rewritten.
-inline void jadd_mixed_ip(JacobianPoint& a, const U256& bx, const U256& by, bool neg) noexcept {
-  if (a.is_infinity()) {
-    a.x = bx;
-    a.y = neg ? fneg(by) : by;
-    a.z = U256::one();
-    return;
-  }
-  const U256 z1z1 = fsqr(a.z);
-  const U256 u2 = fmul(bx, z1z1);
-  U256 s2 = fmul(by, fmul(z1z1, a.z));
-  if (neg) s2 = fneg(s2);
-  if (a.x == u2) {
-    if (a.y != s2) {
-      a = JacobianPoint::identity();
-      return;
-    }
-    jdouble_ip(a);
-    return;
-  }
-  const U256 h = fsub(u2, a.x);
-  const U256 r = fsub(s2, a.y);
-  const U256 h2 = fsqr(h);
-  const U256 h3 = fmul(h2, h);
-  const U256 u1h2 = fmul(a.x, h2);
-  const U256 x3 = fsub(fsub(fsqr(r), h3), fadd(u1h2, u1h2));
-  a.y = fsub(fmul(r, fsub(u1h2, x3)), fmul(a.y, h3));
-  a.x = x3;
-  a.z = fmul(h, a.z);
-}
-
 /// Four-stream GLV wNAF chain computing u1·G + u2·Q: both scalars are
 /// split into ~128-bit halves, so the shared doubling chain is ~128 deep
-/// instead of ~256. G / λG digits come from the static wNAF-8 tables;
+/// instead of ~256. G / λG digits come from the static wNAF-9 tables;
 /// Q / λQ digits from `qtab`/`lqtab` (width `qwidth`), which are either
 /// true affine (`qz == nullptr`, the precomp-cache path) or
 /// effective-affine on the isomorphism with Jacobian Z = *qz (the
 /// inversion-free per-call path) — in the latter frame the static G
 /// entries are mapped in by (x·Z², y·Z³) on use and the accumulator's Z
-/// is rescaled once at the end.
+/// is rescaled once at the end. The accumulator lives in Fe; each table
+/// entry is converted from its 4×64 storage form on load, and only the
+/// result is normalized.
 JacobianPoint glv_chain(const U256& u1, const U256& u2, const AffinePoint* qtab,
                         const AffinePoint* lqtab, unsigned qwidth, const U256* qz) noexcept {
   const GlvSplit s1 = glv_split(u1);
@@ -747,87 +829,66 @@ JacobianPoint glv_chain(const U256& u1, const U256& u2, const AffinePoint* qtab,
   len[3] = wnaf_digits(naf[3], s2.k2, qwidth);
   const bool neg[4] = {s1.neg1, s1.neg2, s2.neg1, s2.neg2};
 
-  const auto& gtab = gen_odd_multiples();
-  const auto& lgtab = gen_lambda_odd_multiples();
-  const AffinePoint* tabs[4] = {gtab.data(), lgtab.data(), qtab, lqtab};
+  const GenTables& gen = gen_tables();
+  const AffinePoint* tabs[4] = {gen.g, gen.lg, qtab, lqtab};
 
   const bool iso = qz != nullptr;
-  U256 zz, zzz;
+  Fe z{}, zz{}, zzz{};
   if (iso) {
-    zz = fsqr(*qz);
-    zzz = fmul(zz, *qz);
+    z = fe::from_u256(*qz);
+    zz = fe::sqr(z);
+    zzz = fe::mul(zz, z);
   }
 
   int top = 0;
   for (int t = 0; t < 4; ++t) top = len[t] > top ? len[t] : top;
 
-  JacobianPoint acc = JacobianPoint::identity();
+  FePoint acc{};
+  acc.inf = true;
   for (int i = top; i-- > 0;) {
-    jdouble_ip(acc);
+    fe_double(acc);
     for (int t = 0; t < 4; ++t) {
       if (i >= len[t]) continue;
       const int d = naf[t][i];
       if (d == 0) continue;
       const AffinePoint& e = tabs[t][static_cast<std::size_t>(((d < 0 ? -d : d) - 1) / 2)];
-      const bool flip = (d < 0) != neg[t];
+      Fe bx = fe::from_u256(e.x);
+      Fe by = fe::from_u256(e.y);
       if (iso && t < 2) {
         // Map the true-affine static entry into the shared frame.
-        jadd_mixed_ip(acc, fmul(e.x, zz), fmul(e.y, zzz), flip);
-      } else {
-        jadd_mixed_ip(acc, e.x, e.y, flip);
+        bx = fe::mul(bx, zz);
+        by = fe::mul(by, zzz);
       }
+      fe_add_mixed(acc, bx, by, (d < 0) != neg[t]);
     }
   }
-  if (iso && !acc.is_infinity()) acc.z = fmul(acc.z, *qz);
-  return acc;
+  if (acc.inf) return JacobianPoint::identity();
+  if (iso) acc.z = fe::mul(acc.z, z);
+  return {fe::to_u256(acc.x), fe::to_u256(acc.y), fe::to_u256(acc.z)};
 }
 
 }  // namespace
 
 void build_point_tables(const AffinePoint& p, PointTables& out) noexcept {
-  // Odd multiples 1P, 3P, ..., 31P via a co-Z ZADDU ladder (5M + 2S per
-  // entry instead of a full Jacobian add), then a global-Z rescale so the
-  // whole table shares one projective frame — no field inversion anywhere.
-  const JacobianPoint d = jdouble(to_jacobian(p));  // 2P, z = 2y (never 0 on secp256k1)
-  const U256 dzz = fsqr(d.z);
-  const U256 dzzz = fmul(dzz, d.z);
-  U256 x[kPointTableEntries];
-  U256 y[kPointTableEntries];
-  U256 h[kPointTableEntries];  // h[i] = frame_i / frame_{i-1}
-  x[0] = fmul(p.x, dzz);  // P rescaled into 2P's frame
-  y[0] = fmul(p.y, dzzz);
-  U256 bx = d.x;  // 2P, co-Z with the current odd multiple
-  U256 by = d.y;
-  for (std::size_t i = 1; i < kPointTableEntries; ++i) {
-    // ZADDU(P1 = 2P, P2 = (2i-1)P), both in frame_{i-1}: produces
-    // (2i+1)P and 2P rescaled, co-Z in frame_i = frame_{i-1}·(X2-X1).
-    const U256 dx = fsub(x[i - 1], bx);
-    const U256 a = fsqr(dx);
-    const U256 b = fmul(bx, a);
-    const U256 c = fmul(x[i - 1], a);
-    const U256 dy = fsub(y[i - 1], by);
-    const U256 x3 = fsub(fsub(fsqr(dy), b), c);
-    const U256 a1 = fmul(by, fsub(c, b));
-    y[i] = fsub(fmul(dy, fsub(b, x3)), a1);
-    x[i] = x3;
-    h[i] = dx;
-    bx = b;
-    by = a1;
+  // Odd multiples 1P, 3P, ..., 31P via the co-Z ladder, then a global-Z
+  // rescale so the whole table shares one projective frame — no field
+  // inversion anywhere.
+  constexpr std::size_t kLast = kPointTableEntries - 1;
+  Fe x[kPointTableEntries]{};
+  Fe y[kPointTableEntries]{};
+  Fe h[kPointTableEntries]{};
+  const Fe z0 = coz_odd_multiples(p, kPointTableEntries, x, y, h);
+  const Fe beta = fe::from_u256(kBeta);
+  // Entry i scales by F_15 / F_i = h[i+1]···h[15]. The endomorphism
+  // commutes with the frame scaling, so λQ is still the β·x map.
+  store_entry(out.q[kLast], out.lq[kLast], x[kLast], y[kLast], beta);
+  Fe cprod = h[kLast];
+  for (std::size_t i = kLast; i-- > 0;) {
+    const Fe c2 = fe::sqr(cprod);
+    store_entry(out.q[i], out.lq[i], fe::mul(x[i], c2), fe::mul(y[i], fe::mul(c2, cprod)), beta);
+    if (i > 0) cprod = fe::mul(cprod, h[i]);
   }
-  // Normalize every entry into the deepest frame (frame_15).
-  out.q[kPointTableEntries - 1] = AffinePoint{x[kPointTableEntries - 1], y[kPointTableEntries - 1], false};
-  U256 cprod = U256::one();
-  for (std::size_t i = kPointTableEntries - 1; i-- > 0;) {
-    cprod = fmul(cprod, h[i + 1]);
-    const U256 c2 = fsqr(cprod);
-    out.q[i] = AffinePoint{fmul(x[i], c2), fmul(y[i], fmul(c2, cprod)), false};
-  }
-  out.z = fmul(d.z, cprod);
-  // λQ table: the endomorphism commutes with the frame scaling, so it is
-  // still just the β·x map.
-  for (std::size_t i = 0; i < kPointTableEntries; ++i) {
-    out.lq[i] = AffinePoint{fmul(kBeta, out.q[i].x), out.q[i].y, false};
-  }
+  out.z = fe::to_u256(fe::mul(z0, cprod));
 }
 
 JacobianPoint double_scalar_mul_tables(const U256& u1, const U256& u2,
@@ -844,11 +905,7 @@ JacobianPoint double_scalar_mul(const U256& u1, const U256& u2, const AffinePoin
 
 PubkeyPrecomp build_pubkey_precomp(const AffinePoint& p) {
   PubkeyPrecomp pre;
-  const auto q = odd_multiples_affine(p, PubkeyPrecomp::kEntries);
-  for (std::size_t i = 0; i < PubkeyPrecomp::kEntries; ++i) {
-    pre.q[i] = q[i];
-    pre.lq[i] = AffinePoint{fmul(kBeta, q[i].x), q[i].y, false};
-  }
+  affine_odd_multiples(p, PubkeyPrecomp::kEntries, pre.q, pre.lq);
   return pre;
 }
 
@@ -878,14 +935,15 @@ std::optional<AffinePoint> decompress(ByteSpan bytes) noexcept {
   if (bytes.size() != 33 || (bytes[0] != 0x02 && bytes[0] != 0x03)) return std::nullopt;
   const U256 x = U256::from_be_bytes(bytes.subspan(1));
   if (x >= kP) return std::nullopt;
-  const U256 rhs = fadd(fmul(fsqr(x), x), U256(7));
-  auto y = fsqrt(rhs);
-  if (!y) return std::nullopt;
-  const bool want_odd = bytes[0] == 0x03;
-  if (y->bit(0) != want_odd) y = fneg(*y);
-  const AffinePoint p{x, *y, false};
-  if (!on_curve(p)) return std::nullopt;
-  return p;
+  const Fe xf = fe::from_u256(x);
+  const Fe rhs = fe::add(fe::mul(fe::sqr(xf), xf), fe::from_u64(7));  // (2)
+  const Fe cand = fe_sqrt_candidate(rhs);
+  // x³ + 7 is a square iff the candidate squares back to it; then the
+  // candidate is a root and y is it or its negation, by parity.
+  if (!fe::equal(rhs, fe::sqr(cand))) return std::nullopt;
+  U256 y = fe::to_u256(cand);
+  if (y.bit(0) != (bytes[0] == 0x03)) y = fneg(y);
+  return AffinePoint{x, y, false};
 }
 
 }  // namespace btcfast::crypto::secp

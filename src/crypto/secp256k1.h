@@ -1,6 +1,8 @@
 // secp256k1 elliptic-curve arithmetic implemented from scratch on top of
 // U256: fast field reduction for p = 2^256 - 2^32 - 977, Jacobian point
 // arithmetic, scalar multiplication, and compressed-point (de)serialization.
+// The verify paths (GLV chain, table builds, decompression) run their inner
+// loops on the internal 5×52 field element of crypto/field.h instead.
 //
 // NOTE: the implementation is *not* constant-time; it backs a protocol
 // simulator, not a production signer. Functional behaviour (including
@@ -157,7 +159,7 @@ struct PubkeyPrecomp {
   AffinePoint q[kEntries];
   AffinePoint lq[kEntries];
 };
-/// Build the wide tables (one Montgomery-batched field inversion).
+/// Build the wide tables (co-Z ladder, then one field inversion).
 [[nodiscard]] PubkeyPrecomp build_pubkey_precomp(const AffinePoint& p);
 /// u1*G + u2*Q against cached wide tables: skips the per-call table
 /// build entirely and halves the Q-side additions (wNAF-7 vs wNAF-5).
